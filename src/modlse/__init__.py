@@ -27,7 +27,6 @@ from .dp import (
     state_alphabet,
 )
 from .harness import (
-    METHODS,
     ExperimentConfig,
     PropertyReport,
     SweepPoint,
@@ -43,6 +42,7 @@ from .harness import (
 from .lse import nmse, nomp
 from .omp import accept_if_improves, omp_refine
 from .pipeline import (
+    METHODS,
     PipelineConfig,
     RecoveryResult,
     ResidualRecovery,

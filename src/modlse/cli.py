@@ -10,6 +10,7 @@ ingest      validate an IQ file and print a short summary
 
 The ``experiment`` subcommand reads a ``key = value`` config file (one pair
 per line, ``#`` comments); every field can also be overridden by a flag.
+Each subcommand declares only the flags it reads.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .harness import (
-    METHODS,
     ExperimentConfig,
     check_properties,
     read_iq_csv,
@@ -32,8 +31,7 @@ from .harness import (
     write_summary_json,
     write_trials_csv,
 )
-from .lse import nomp
-from .pipeline import PipelineConfig, recover_line_spectrum
+from .pipeline import METHODS, PipelineConfig, recover_line_spectrum
 from .signals import (
     SamplingConfig,
     add_noise,
@@ -89,23 +87,23 @@ def build_experiment_config(entries: dict) -> ExperimentConfig:
         parallelism=entries.get("parallelism", 1))
 
 
-def _add_common_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--trials", type=int, default=None)
-    sub.add_argument("--p", type=int, default=None)
-    sub.add_argument("--beta", type=float, default=None)
-    sub.add_argument("--snr", type=float, default=None)
-    sub.add_argument("--gamma", type=float, default=None)
-    sub.add_argument("--lambda", dest="lam", type=float, default=None)
-    sub.add_argument("--method", choices=METHODS, default=None)
+SHARED_FLAGS = {
+    "seed": dict(type=int), "trials": dict(type=int), "p": dict(type=int),
+    "beta": dict(type=float), "snr": dict(type=float),
+    "gamma": dict(type=float), "lambda": dict(dest="lam", type=float),
+    "method": dict(choices=METHODS),
+}
+
+
+def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
+    """Declare the shared flags named in ``defaults``, with those defaults."""
+    for name, default in defaults.items():
+        sub.add_argument(f"--{name}", default=default, **SHARED_FLAGS[name])
 
 
 def _cmd_simulate(args) -> int:
-    rng = np.random.default_rng(args.seed if args.seed is not None else 0)
-    n = args.n
-    gamma = args.gamma if args.gamma is not None else 10.0
-    lam = args.lam if args.lam is not None else 0.7
-    snr = args.snr if args.snr is not None else 30.0
+    rng = np.random.default_rng(args.seed)
+    n, gamma, lam, snr = args.n, args.gamma, args.lam, args.snr
     spectrum = gen_random_spectrum(args.k, gamma, rng,
                                    min_separation=2.0 * np.pi / n)
     x = synth_line_spectral(spectrum, n)
@@ -123,37 +121,19 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_recover(args) -> int:
     loaded = read_iq_csv(args.input)
-    gamma = args.gamma if args.gamma is not None else 10.0
-    lam = args.lam if args.lam is not None else 0.7
-    y = modulo_sample(loaded, lam) if args.fold else loaded
-    method = args.method or "dp_omp_iter"
-    cfg = PipelineConfig(
-        p=args.p if args.p is not None else 3,
-        beta=args.beta if args.beta is not None else 0.04)
+    y = modulo_sample(loaded, args.lam) if args.fold else loaded
     start = time.perf_counter()
-    if method == "usalg":
-        from .baseline import select_usalg_order, usalg
-        # with software folding the pre-fold record is available and is the
-        # right signal to pick the difference order from
-        order = select_usalg_order(loaded if args.fold else y)
-        g_hat = usalg(y, lam, order)
-        spectrum = nomp(g_hat, args.k)
-    else:
-        if method == "dp":
-            cfg = replace(cfg, iter_max=1, use_omp=False)
-        elif method == "dp_omp":
-            cfg = replace(cfg, iter_max=1)
-        elif method == "omp_only":
-            cfg = replace(cfg, iter_max=1, use_dp=False)
-        result = recover_line_spectrum(y, args.k, gamma, lam, cfg)
-        g_hat, spectrum = result.g_hat, result.spectrum_hat
+    result = recover_line_spectrum(y, args.k, args.gamma, args.lam,
+                                   PipelineConfig(p=args.p, beta=args.beta),
+                                   args.method)
     elapsed = time.perf_counter() - start
-    print(f"method={method} runtime={elapsed:.3f}s")
+    print(f"method={args.method} runtime={elapsed:.3f}s")
+    spectrum = result.spectrum_hat
     for omega, coeff in zip(spectrum.omegas, spectrum.coeffs):
         print(f"  omega={omega:.8f} rad/sample  |c|={abs(coeff):.6f}  "
               f"phase={np.angle(coeff):+.4f}")
     if args.out:
-        write_iq_csv(args.out, g_hat)
+        write_iq_csv(args.out, result.g_hat)
         print(f"recovered signal written to {args.out}")
     return 0
 
@@ -207,7 +187,7 @@ def main(argv=None) -> int:
     sim.add_argument("--n", type=int, default=512)
     sim.add_argument("--k", type=int, default=3)
     sim.add_argument("--out", required=True, help="output path prefix")
-    _add_common_flags(sim)
+    _add_flags(sim, {"seed": 0, "snr": 30.0, "gamma": 10.0, "lambda": 0.7})
     sim.set_defaults(func=_cmd_simulate)
 
     rec = subs.add_parser("recover", help="run one method on an IQ file")
@@ -216,13 +196,14 @@ def main(argv=None) -> int:
     rec.add_argument("--fold", action="store_true",
                      help="apply the modulo in software before recovery")
     rec.add_argument("--out", default=None, help="write recovered signal here")
-    _add_common_flags(rec)
+    _add_flags(rec, {"gamma": 10.0, "lambda": 0.7, "p": 3, "beta": 0.04,
+                     "method": "dp_omp_iter"})
     rec.set_defaults(func=_cmd_recover)
 
     exp = subs.add_parser("experiment", help="run sweeps from a config file")
     exp.add_argument("--config", default=None)
     exp.add_argument("--out", required=True, help="output path prefix")
-    _add_common_flags(exp)
+    _add_flags(exp, dict.fromkeys(SHARED_FLAGS))
     exp.set_defaults(func=_cmd_experiment)
 
     prop = subs.add_parser("prop-check", help="run the analytic property suites")

@@ -25,6 +25,7 @@ from .bounds import (
 )
 from .lse import nmse, nomp
 from .pipeline import (
+    METHODS,
     PipelineConfig,
     recover_residual,
     resolve_constant_with_truth,
@@ -42,7 +43,6 @@ from .transform import dft, first_difference
 from .baseline import select_usalg_order, usalg
 
 __all__ = [
-    "METHODS",
     "ExperimentConfig",
     "TrialResult",
     "run_trial",
@@ -56,10 +56,7 @@ __all__ = [
     "write_summary_json",
 ]
 
-METHODS = ("dp", "dp_omp", "dp_omp_iter", "omp_only", "usalg")
-
-SCENARIOS = ("single_trial", "beta_sweep", "snr_sweep", "bandlimited_sweep",
-             "prop_check", "ingest")
+SCENARIOS = ("single_trial", "beta_sweep", "snr_sweep", "bandlimited_sweep")
 
 RESULT_COLUMNS = ("trial_id", "seed", "method", "p", "beta", "snr_db",
                   "nmse_db", "success", "runtime_s")
@@ -78,13 +75,13 @@ class ExperimentConfig:
     beta_grid: tuple[float, ...] = ()
     success_threshold_db: float = -15.0
     parallelism: int = 1
-    usalg_d_max: int = 3
 
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
         if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
+            raise ValueError(f"unknown method {self.method!r}; "
+                             f"expected one of {tuple(METHODS)}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.parallelism < 1:
@@ -110,19 +107,6 @@ class TrialResult:
                 f"{self.beta:.6g}", f"{self.snr_db:.6g}",
                 f"{self.nmse_db:.6f}", int(self.success),
                 f"{self.runtime_s:.6f}"]
-
-
-def _pipeline_for_method(cfg: ExperimentConfig) -> PipelineConfig:
-    base = cfg.pipeline
-    if cfg.method == "dp":
-        return replace(base, iter_max=1, use_dp=True, use_omp=False)
-    if cfg.method == "dp_omp":
-        return replace(base, iter_max=1, use_dp=True, use_omp=True)
-    if cfg.method == "dp_omp_iter":
-        return replace(base, use_dp=True, use_omp=True)
-    if cfg.method == "omp_only":
-        return replace(base, iter_max=1, use_dp=False, use_omp=True)
-    return base  # usalg bypasses the pipeline
 
 
 def _trial_rng(cfg: ExperimentConfig, point_index: int, trial_index: int):
@@ -155,20 +139,22 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     y = modulo_sample(g, samp.lam)
     eps_true = residual_decompose(g, y, samp.lam)
 
-    pipe = _pipeline_for_method(cfg)
+    pipe = cfg.pipeline
     start = time.perf_counter()
     try:
-        if cfg.method == "usalg":
-            order = select_usalg_order(g, cfg.usalg_d_max)
-            g_hat = usalg(y, samp.lam, order)
+        if METHODS[cfg.method].usalg:
+            # oracle: the difference order is picked from the unfolded g,
+            # which a real capture does not have (recover_line_spectrum
+            # picks it from y)
+            g_hat = usalg(y, samp.lam, select_usalg_order(g))
             eps_hat = residual_decompose(g_hat, y, samp.lam)
         else:
-            stage_one = recover_residual(y, pipe, samp.lam, samp.gamma)
-            eps_hat = stage_one.eps
+            eps_hat = recover_residual(y, pipe, samp.lam, samp.gamma,
+                                       cfg.method).eps
+        # sweeps score against the truth, so they resolve the constant with it
         eps_hat = resolve_constant_with_truth(eps_hat, eps_true)
         g_hat = y + 2.0 * samp.lam * eps_hat
-        estimate = nomp(g_hat, k_model, pipe.grid_oversample,
-                        pipe.newton_steps, pipe.cyclic_rounds)
+        estimate = nomp(g_hat, k_model)
         x_hat = synth_line_spectral(estimate, samp.n)
         score = nmse(x_hat, x)
     except ValueError:
@@ -225,19 +211,21 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Run every grid point of the configured sweep.
 
     Trials are independent and seeded by (master seed, point, trial), so the
-    aggregate is identical whatever ``parallelism`` is in force.
+    aggregate is identical whatever ``parallelism`` is in force.  Every
+    (point, trial) job goes to one pool per call.
     """
     axis, grid = _sweep_axis(cfg)
+    jobs = [(_point_config(cfg, axis, float(value)), point_index, t)
+            for point_index, value in enumerate(grid)
+            for t in range(cfg.trials)]
+    if cfg.parallelism > 1:
+        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+            rows = list(pool.map(_run_point_trial, jobs))
+    else:
+        rows = [_run_point_trial(j) for j in jobs]
     points: list[SweepPoint] = []
     for point_index, value in enumerate(grid):
-        point_cfg = _point_config(cfg, axis, float(value))
-        jobs = [(point_cfg, point_index, t) for t in range(cfg.trials)]
-        if cfg.parallelism > 1:
-            with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-                results = list(pool.map(_run_point_trial, jobs))
-        else:
-            results = [_run_point_trial(j) for j in jobs]
-        results.sort(key=lambda r: r.trial_id)
+        results = rows[point_index * cfg.trials:(point_index + 1) * cfg.trials]
         points.append(SweepPoint(
             axis=axis, value=float(value), method=cfg.method,
             trials=cfg.trials,
@@ -379,6 +367,8 @@ def read_iq_csv(path) -> np.ndarray:
                 re, im = float(row[1]), float(row[2])
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: malformed row: {exc}") from exc
+            if not (np.isfinite(re) and np.isfinite(im)):
+                raise ValueError(f"{path}:{line_no}: non-finite sample {row[1]},{row[2]}")
             if idx != len(values):
                 raise ValueError(f"{path}:{line_no}: non-contiguous index {idx}, "
                                  f"expected {len(values)}")

@@ -8,6 +8,9 @@ differences are then integrated (anti-difference), which leaves a single
 additive Gaussian-integer constant that simulation callers remove against
 ground truth and blind callers remove by a rounded median.  Stage two runs
 the Newton-refined greedy estimator on the unfolded signal.
+
+``METHODS`` maps each method name to the stages it runs; it is the one place
+that knows what a method is.
 """
 
 from __future__ import annotations
@@ -16,10 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
-from .signals import LineSpectrum
+from .signals import LineSpectrum, residual_decompose
 from .transform import (
     QuadraticInstance,
     anti_difference,
@@ -30,6 +34,7 @@ from .transform import (
 )
 
 __all__ = [
+    "METHODS",
     "PipelineConfig",
     "ResidualRecovery",
     "RecoveryResult",
@@ -41,36 +46,50 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """Knobs for the unfolding stage.
+class Method:
+    """The stages one named method runs.
 
-    ``iter_max`` counts solve/refine passes; with ``iter_max = 1`` and
-    ``use_omp = False`` the pipeline reduces to a single banded solve.
-    ``use_dp = False`` with ``use_omp = True`` gives the greedy-only variant,
-    which by convention selects every bin above the signal band instead of
-    the two-sided guard band.  ``omp_max_sparsity = None`` defaults to a
-    quarter of the selected bins.
+    ``iterate`` runs ``PipelineConfig.iter_max`` solve/refine passes instead
+    of one.  Without the DP the greedy refinement selects every bin above the
+    signal band instead of the two-sided guard band.  ``usalg`` replaces the
+    whole unfolding stage by the higher-order-difference baseline.
     """
+
+    dp: bool = False
+    omp: bool = False
+    iterate: bool = False
+    usalg: bool = False
+
+
+METHODS = {
+    "dp": Method(dp=True),
+    "dp_omp": Method(dp=True, omp=True),
+    "dp_omp_iter": Method(dp=True, omp=True, iterate=True),
+    "omp_only": Method(omp=True),
+    "usalg": Method(usalg=True),
+}
+
+
+def _method(name: str) -> Method:
+    if name not in METHODS:
+        raise ValueError(f"unknown method {name!r}; expected one of {tuple(METHODS)}")
+    return METHODS[name]
+
+
+@dataclass(frozen=True)
+class PipelineConfig:
+    """Knobs for the unfolding stage: band order ``p``, state alphabet bound
+    ``v_bound``, guard-band fraction ``beta`` and the number of solve/refine
+    passes ``iter_max`` of the iterated method."""
 
     p: int = 3
     v_bound: int = 1
     beta: float = 0.04
     iter_max: int = 2
-    omp_max_sparsity: int | None = None
-    use_dp: bool = True
-    use_omp: bool = True
-    lse_method: str = "nomp"
-    grid_oversample: int = 4
-    newton_steps: int = 3
-    cyclic_rounds: int = 3
 
     def __post_init__(self):
         if self.iter_max < 1:
             raise ValueError("iter_max must be >= 1")
-        if not (self.use_dp or self.use_omp):
-            raise ValueError("at least one of use_dp/use_omp must be enabled")
-        if self.lse_method != "nomp":
-            raise ValueError("the only supported spectral estimator is 'nomp'")
 
 
 @dataclass(frozen=True)
@@ -97,31 +116,37 @@ class RecoveryResult:
     omp_rejections: int = 0
 
 
-def _make_instance(y: np.ndarray, cfg: PipelineConfig, lam: float,
-                   gamma: float) -> QuadraticInstance:
-    n = np.asarray(y).size
-    if cfg.use_dp:
-        subset = select_subset(n, gamma, cfg.beta)
-    else:
-        subset = select_subset_tail(n, gamma)
-    return build_instance(y, lam, subset, cfg.p, cfg.v_bound)
+def _finite_samples(y: np.ndarray) -> np.ndarray:
+    y = np.asarray(y, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite sample(s), first at index {bad[0]}")
+    return y
 
 
 def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
-                     gamma: float) -> ResidualRecovery:
+                     gamma: float, method: str = "dp_omp_iter") -> ResidualRecovery:
     """Estimate the folding counts of ``y`` up to an additive constant.
 
     Starts from the all-zero difference estimate; each pass re-centers the
-    banded solve on the current estimate, then (optionally) applies greedy
-    refinement, accepting each update only on strict objective decrease.
+    banded solve on the current estimate, then applies greedy refinement,
+    accepting each update only on strict objective decrease.  ``method``
+    names the stages in ``METHODS``; ``usalg`` has no residual instance and
+    is served by ``recover_line_spectrum``.
     """
-    inst = _make_instance(y, cfg, lam, gamma)
+    spec = _method(method)
+    if spec.usalg:
+        raise ValueError("usalg does not solve the residual instance")
+    y = _finite_samples(y)
+    n = y.size
+    subset = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
+    inst = build_instance(y, lam, subset, cfg.p, cfg.v_bound)
     eps_d = np.zeros(inst.n_vars, dtype=complex)
     trace = [exact_objective(inst, eps_d)]
     dp_rejected = 0
     omp_rejected = 0
-    for _ in range(cfg.iter_max):
-        if cfg.use_dp:
+    for _ in range(cfg.iter_max if spec.iterate else 1):
+        if spec.dp:
             recentered_b = inst.adjoint(inst.z_s + inst.forward(eps_d))
             delta = dp_solve(inst, b=recentered_b)
             updated = accept_if_improves(inst, eps_d, delta)
@@ -129,8 +154,8 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
                 dp_rejected += 1
             eps_d = updated
             trace.append(exact_objective(inst, eps_d))
-        if cfg.use_omp:
-            delta = omp_refine(inst, eps_d, cfg.omp_max_sparsity)
+        if spec.omp:
+            delta = omp_refine(inst, eps_d)
             updated = accept_if_improves(inst, eps_d, delta)
             if updated is eps_d:
                 omp_rejected += 1
@@ -175,26 +200,25 @@ def resolve_constant_blind(eps_hat: np.ndarray) -> np.ndarray:
 
 def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
                           cfg: PipelineConfig | None = None,
-                          constant_resolver: str = "blind") -> RecoveryResult:
+                          method: str = "dp_omp_iter") -> RecoveryResult:
     """Run the full two-stage recovery on modulo samples.
 
-    ``constant_resolver`` is ``"blind"`` (rounded-median, the only option
-    available on real data) or ``"none"`` (leave the raw anchored estimate;
-    simulation harnesses resolve against truth themselves before scoring).
+    Serves every entry of ``METHODS``.  The additive constant is always
+    removed blind (rounded median), the only option on real data; ``usalg``
+    picks its difference order from ``y`` for the same reason.
     """
     if cfg is None:
         cfg = PipelineConfig()
-    y = np.asarray(y, dtype=complex)
-    stage_one = recover_residual(y, cfg, lam, gamma)
-    eps = stage_one.eps
-    if constant_resolver == "blind":
-        eps = resolve_constant_blind(eps)
-    elif constant_resolver != "none":
-        raise ValueError(f"unknown constant resolver {constant_resolver!r}")
+    y = _finite_samples(y)
+    trace, dp_rejected, omp_rejected = [], 0, 0
+    if _method(method).usalg:
+        eps = residual_decompose(usalg(y, lam, select_usalg_order(y)), y, lam)
+    else:
+        stage_one = recover_residual(y, cfg, lam, gamma, method)
+        eps, trace = stage_one.eps, stage_one.objective_trace
+        dp_rejected, omp_rejected = stage_one.dp_rejections, stage_one.omp_rejections
+    eps = resolve_constant_blind(eps)
     g_hat = y + 2.0 * lam * eps
-    spectrum = nomp(g_hat, k, cfg.grid_oversample, cfg.newton_steps,
-                    cfg.cyclic_rounds)
-    return RecoveryResult(eps_hat=eps, g_hat=g_hat, spectrum_hat=spectrum,
-                          objective_trace=stage_one.objective_trace,
-                          dp_rejections=stage_one.dp_rejections,
-                          omp_rejections=stage_one.omp_rejections)
+    return RecoveryResult(eps_hat=eps, g_hat=g_hat, spectrum_hat=nomp(g_hat, k),
+                          objective_trace=trace, dp_rejections=dp_rejected,
+                          omp_rejections=omp_rejected)

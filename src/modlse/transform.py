@@ -161,18 +161,10 @@ class QuadraticInstance:
         return np.exp(-2j * np.pi * np.outer(self.subset.bins, np.arange(m)) / m) \
             / np.sqrt(m)
 
-    def toeplitz_offsets(self, max_offset: int | None = None) -> np.ndarray:
-        """Gram offsets ``q[d] = Q[i, i+d]`` from the closed-form geometric sum."""
-        m = self.n_vars
-        if max_offset is None:
-            max_offset = m - 1
-        d = np.arange(max_offset + 1)
-        return _gram_offsets(self.subset.bins, m, d)
-
     def q_dense(self) -> np.ndarray:
         """Dense Hermitian Toeplitz ``Q``; test-scale use only."""
-        q = self.toeplitz_offsets()
         m = self.n_vars
+        q = _gram_offsets(self.subset.bins, m, np.arange(m))
         idx = np.subtract.outer(np.arange(m), np.arange(m))
         out = q[np.abs(idx)]
         return np.where(idx > 0, np.conj(out), out)

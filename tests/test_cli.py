@@ -88,6 +88,16 @@ class TestCliCommands:
                      "--k", "2", "--lambda", "0.5", "--method", method]) == 0
         assert "omega=" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--out", "scene", "--p", "3"],
+        ["recover", "scene_folded.csv", "--trials", "2"],
+    ])
+    def test_unread_flags_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_experiment_bandlimited_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "bl.cfg"
         cfg.write_text(

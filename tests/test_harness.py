@@ -91,14 +91,19 @@ class TestRunSweep:
             assert len(pt.results) == 3
 
     def test_parallelism_invariance(self):
+        # two points, so pooled rows must stay in place across the boundary
         serial = run_sweep(small_config(scenario="snr_sweep",
-                                        snr_grid=(25.0,), trials=4))
+                                        snr_grid=(25.0, 10.0), trials=4))
         parallel = run_sweep(small_config(scenario="snr_sweep",
-                                          snr_grid=(25.0,), trials=4,
+                                          snr_grid=(25.0, 10.0), trials=4,
                                           parallelism=2))
-        for a, b in zip(serial[0].results, parallel[0].results):
-            assert dataclasses.replace(a, runtime_s=0.0) == \
-                dataclasses.replace(b, runtime_s=0.0)
+        assert [pt.value for pt in parallel] == [25.0, 10.0]
+        for point_s, point_p in zip(serial, parallel):
+            assert len(point_p.results) == 4
+            assert {r.snr_db for r in point_p.results} == {point_p.value}
+            for a, b in zip(point_s.results, point_p.results):
+                assert dataclasses.replace(a, runtime_s=0.0) == \
+                    dataclasses.replace(b, runtime_s=0.0)
 
     def test_beta_sweep_routing(self):
         cfg = small_config(scenario="beta_sweep", beta_grid=(0.03, 0.08),
@@ -158,6 +163,12 @@ class TestIqFiles:
         path = tmp_path / "bad.csv"
         path.write_text("index,re,im\n0,1.0,0.0\n2,1.0,0.0\n")
         with pytest.raises(ValueError, match="non-contiguous"):
+            read_iq_csv(path)
+
+    def test_non_finite_sample_reports_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("index,re,im\n0,1.0,0.0\n1,nan,0.0\n2,0.0,inf\n")
+        with pytest.raises(ValueError, match=":3: non-finite sample"):
             read_iq_csv(path)
 
     def test_empty_file_rejected(self, tmp_path):

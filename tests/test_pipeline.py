@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from modlse import (
+    METHODS,
     LineSpectrum,
     PipelineConfig,
     add_noise,
@@ -71,8 +72,8 @@ class TestRecoverResidual:
         spec = gen_random_spectrum(3, 10.0, rng)
         g = add_noise(synth_line_spectral(spec, 256), 25.0, rng)
         y = modulo_sample(g, 0.7)
-        cfg = PipelineConfig(p=2, beta=0.05, iter_max=1, use_omp=False)
-        res = recover_residual(y, cfg, 0.7, 10.0)
+        cfg = PipelineConfig(p=2, beta=0.05)
+        res = recover_residual(y, cfg, 0.7, 10.0, method="dp")
         inst = build_instance(y, 0.7, select_subset(256, 10.0, 0.05), 2, 1)
         expected = dp_solve(inst)
         np.testing.assert_array_equal(res.eps_diff, expected)
@@ -83,16 +84,17 @@ class TestRecoverResidual:
         spec = gen_random_spectrum(2, 10.0, rng)
         g = add_noise(synth_line_spectral(spec, 256), 30.0, rng)
         y = modulo_sample(g, 0.7)
-        cfg = PipelineConfig(iter_max=1, use_dp=False, use_omp=True)
-        res = recover_residual(y, cfg, 0.7, 10.0)
+        res = recover_residual(y, PipelineConfig(), 0.7, 10.0, method="omp_only")
         assert res.eps_diff.size == 255
         assert res.instance.subset.beta == 0.0  # tail selection, not guard band
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(iter_max=0)
+        # a method that runs neither the DP nor the greedy refinement
+        y = modulo_sample(synth_line_spectral(LineSpectrum([0.3], [0.5]), 64), 0.4)
         with pytest.raises(ValueError):
-            PipelineConfig(use_dp=False, use_omp=False)
+            recover_residual(y, PipelineConfig(), 0.4, 10.0, method="usalg")
 
 
 class TestConstantResolution:
@@ -158,10 +160,28 @@ class TestFullPipeline:
         trace = np.array(result.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
-    def test_rejects_unknown_resolver(self):
+    def test_rejects_unknown_method(self):
         g = synth_line_spectral(LineSpectrum([0.3], [0.5]), 64)
         with pytest.raises(ValueError):
-            recover_line_spectrum(g, 1, 10.0, 1.0, constant_resolver="oracle")
+            recover_line_spectrum(g, 1, 10.0, 1.0, method="oracle")
+
+    def test_rejects_non_finite_samples(self):
+        g = synth_line_spectral(LineSpectrum([0.3], [0.5]), 64)
+        g[7] = complex(np.nan, 0.0)
+        with pytest.raises(ValueError, match="non-finite sample.*index 7"):
+            recover_line_spectrum(g, 1, 10.0, 1.0)
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_every_method_end_to_end(self, method):
+        rng = np.random.default_rng(109)
+        spec = gen_random_spectrum(2, 10.0, rng, min_separation=2 * np.pi / 256)
+        y = modulo_sample(add_noise(synth_line_spectral(spec, 256), 35.0, rng), 0.5)
+        result = recover_line_spectrum(y, 2, 10.0, 0.5, method=method)
+        eps = result.eps_hat
+        np.testing.assert_array_equal(eps.real, np.round(eps.real))
+        np.testing.assert_array_equal(eps.imag, np.round(eps.imag))
+        np.testing.assert_array_equal(result.g_hat, y + 2 * 0.5 * eps)
+        assert result.spectrum_hat.order == 2
 
     def test_moderate_oversampling_beats_difference_baseline(self):
         # at gamma ~ 12 with pre-fold noise, differencing-based unfolding
