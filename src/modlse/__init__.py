@@ -18,6 +18,7 @@ from .bounds import (
     residual_state_bound,
 )
 from .dp import (
+    BudgetExceeded,
     DpStats,
     StageDecomposition,
     banded_objective,
@@ -87,6 +88,7 @@ __all__ = [
     "SubsetSelection",
     "QuadraticInstance",
     "StageDecomposition",
+    "BudgetExceeded",
     "DpStats",
     "PipelineConfig",
     "ResidualRecovery",

@@ -10,9 +10,13 @@ that on test-scale instances.
 State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``) with
 the leading variable most significant, and ties are broken by the smallest
 flat index, i.e. lexicographically by (real part, imaginary part) per
-variable.  Only two stage value tables are ever alive at once; the per-stage
-argmin tables needed by the backward pass are kept in the smallest integer
-dtype that can hold a state index.
+variable.  Each forward stage eliminates one variable: it broadcasts the
+previous value table against the stage's coupling and linear terms into a
+``(B, B^p)`` table (eliminated state by key of the next ``p`` states), takes
+the column minima as the next value table, and records the first minimizing
+state of every column.  That argmin table, in the smallest integer dtype that
+can hold a state index, is the only per-stage state kept for the backward
+pass; the float tables are buffers reused from stage to stage.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import numpy as np
 from .transform import QuadraticInstance
 
 __all__ = [
+    "BudgetExceeded",
     "DpStats",
     "StageDecomposition",
     "state_alphabet",
@@ -126,9 +131,13 @@ def banded_objective(inst: QuadraticInstance, eps: np.ndarray) -> float:
     return acc + 2.0 * float(np.real(np.conj(inst.b) @ eps))
 
 
+class BudgetExceeded(ValueError):
+    """An exact enumeration would exceed its table-entry budget."""
+
+
 def _check_budget(entries: int, budget: int) -> None:
     if entries > budget:
-        raise ValueError(
+        raise BudgetExceeded(
             f"state-space enumeration of {entries} entries exceeds budget {budget}; "
             "reduce p or the state bound, or raise the budget explicitly"
         )
@@ -150,10 +159,12 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
     """
     p, v = inst.p, inst.v_bound
     m = inst.n_vars
-    if b is None:
-        b = inst.b
-    elif np.asarray(b).size != m:
+    b = inst.b if b is None else np.asarray(b)
+    if b.size != m:
         raise ValueError("linear-term override must have one entry per variable")
+    bad = np.flatnonzero(~np.isfinite(b))
+    if bad.size:
+        raise ValueError(f"non-finite linear term at index {bad[0]}")
     if m <= p + 1:
         raise ValueError("instance too short for this band order")
     states = state_alphabet(v)
@@ -162,7 +173,6 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
 
     n_stages = m - p
     band = inst.band
-    q0 = float(band[0].real)
 
     # Per-key digit tables: digit t of key is the state index of variable
     # k+1+t relative to stage k (leading digit most significant).
@@ -172,20 +182,30 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
         digit = (keys // bsz ** (p - 1 - t)) % bsz
         coupled += band[t + 1] * states[digit]
     cross = 2.0 * np.real(np.conj(states)[:, None] * coupled[None, :])
-    prev_key = np.arange(bsz)[:, None] * bsz ** (p - 1) + keys[None, :] // bsz
-    base_quad = q0 * np.abs(states) ** 2
+    base_quad = float(band[0].real) * np.abs(states) ** 2
+    # lin[i, s]: diagonal plus linear term of variable i in state s.
+    lin = base_quad[None, :] + 2.0 * np.real(np.conj(states)[None, :] * b[:, None])
 
+    # Stage k: stage[s, key] = (value[s, key // B] + cross[s, key]) + lin[k, s],
+    # where s is the state of variable k and value is keyed by the states of
+    # variables k..k+p-1.  The first minimizing s is B - max_s(rank[s]) over
+    # the rows that attain the column minimum, with rank = B..1.
     value = np.zeros(bsz ** p)
-    rc_dtype = np.min_scalar_type(bsz - 1)
-    argmins = np.empty((n_stages - 1, bsz ** p), dtype=rc_dtype)
-    evaluated = 0
+    stage = np.empty((bsz, bsz ** p))
+    hits = np.empty((bsz, bsz ** p), dtype=bool)
+    ranked = np.empty((bsz, bsz ** p), dtype=np.min_scalar_type(bsz))
+    rank = np.arange(bsz, 0, -1, dtype=ranked.dtype)[:, None]
+    argmins = np.empty((n_stages - 1, bsz ** p), dtype=np.min_scalar_type(bsz - 1))
+    cross3 = cross.reshape(bsz, bsz ** (p - 1), bsz)
+    stage3 = stage.reshape(cross3.shape)
     for k in range(n_stages - 1):
-        stage = value[prev_key] + cross \
-            + (base_quad + 2.0 * np.real(np.conj(states) * b[k]))[:, None]
-        argmins[k] = np.argmin(stage, axis=0)
-        value = np.take_along_axis(stage, argmins[k][None, :].astype(np.intp),
-                                   axis=0)[0]
-        evaluated += stage.size
+        np.add(value.reshape(bsz, bsz ** (p - 1), 1), cross3, out=stage3)
+        stage += lin[k][:, None]
+        value = stage.min(axis=0)
+        np.equal(stage, value, out=hits)
+        np.multiply(hits, rank, out=ranked)
+        np.subtract(bsz, ranked.max(axis=0), out=argmins[k])
+    evaluated = (n_stages - 1) * stage.size
 
     # Trailing block: enumerate all (p+1)-tuples, axis i = variable
     # n_stages-1+i, leading axis most significant.
@@ -193,8 +213,7 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
     for i in range(p + 1):
         shape = [1] * (p + 1)
         shape[i] = bsz
-        tail = tail + (base_quad + 2.0 * np.real(
-            np.conj(states) * b[n_stages - 1 + i])).reshape(shape)
+        tail = tail + lin[n_stages - 1 + i].reshape(shape)
     for i in range(p + 1):
         for j in range(i + 1, p + 1):
             pair = 2.0 * np.real(np.conj(states)[:, None]
@@ -202,8 +221,7 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
             shape = [1] * (p + 1)
             shape[i], shape[j] = bsz, bsz
             tail = tail + pair.reshape(shape)
-    tail = tail.reshape(-1)
-    total = value[np.arange(bsz ** (p + 1)) // bsz] + tail
+    total = value[:, None] + tail.reshape(bsz ** p, bsz)
     evaluated += total.size
     best = int(np.argmin(total))
 

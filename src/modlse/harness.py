@@ -23,6 +23,7 @@ from .bounds import (
     leakage_bound,
     residual_state_bound,
 )
+from .dp import BudgetExceeded
 from .lse import nmse, nomp
 from .pipeline import (
     METHODS,
@@ -122,8 +123,9 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     noise-free signal, after resolving the folding-count constant against
     ground truth.  Bandlimited scenes are scored through the same spectral
     fit with the model order set to the number of active bins
-    (``floor(n / gamma)``).  Solver budget violations score as failed trials
-    rather than aborting the batch.
+    (``floor(n / gamma)``).  Solver budget violations (:class:`BudgetExceeded`)
+    score as failed trials rather than aborting the batch; any other error
+    propagates.
     """
     rng, seed = _trial_rng(cfg, point_index, trial_index)
     samp = cfg.sampling
@@ -157,8 +159,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
         estimate = nomp(g_hat, k_model)
         x_hat = synth_line_spectral(estimate, samp.n)
         score = nmse(x_hat, x)
-    except ValueError:
-        score = 0.0  # budget guard or degenerate solve: a failed trial
+    except BudgetExceeded:
+        score = 0.0  # the instance is too large to solve: a failed trial
     runtime = time.perf_counter() - start
 
     return TrialResult(trial_id=trial_index, seed=seed, method=cfg.method,

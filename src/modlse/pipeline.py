@@ -143,24 +143,25 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     inst = build_instance(y, lam, subset, cfg.p, cfg.v_bound)
     eps_d = np.zeros(inst.n_vars, dtype=complex)
     trace = [exact_objective(inst, eps_d)]
+
+    def accept(delta: np.ndarray) -> bool:
+        nonlocal eps_d
+        updated = accept_if_improves(inst, eps_d, delta)
+        if updated is eps_d:
+            trace.append(trace[-1])  # rejected: the estimate is unchanged
+            return False
+        eps_d = updated
+        trace.append(exact_objective(inst, eps_d))
+        return True
+
     dp_rejected = 0
     omp_rejected = 0
     for _ in range(cfg.iter_max if spec.iterate else 1):
         if spec.dp:
             recentered_b = inst.adjoint(inst.z_s + inst.forward(eps_d))
-            delta = dp_solve(inst, b=recentered_b)
-            updated = accept_if_improves(inst, eps_d, delta)
-            if updated is eps_d:
-                dp_rejected += 1
-            eps_d = updated
-            trace.append(exact_objective(inst, eps_d))
+            dp_rejected += not accept(dp_solve(inst, b=recentered_b))
         if spec.omp:
-            delta = omp_refine(inst, eps_d)
-            updated = accept_if_improves(inst, eps_d, delta)
-            if updated is eps_d:
-                omp_rejected += 1
-            eps_d = updated
-            trace.append(exact_objective(inst, eps_d))
+            omp_rejected += not accept(omp_refine(inst, eps_d))
     return ResidualRecovery(eps_diff=eps_d, eps=anti_difference(eps_d),
                             objective_trace=trace, dp_rejections=dp_rejected,
                             omp_rejections=omp_rejected, instance=inst)

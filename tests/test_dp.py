@@ -1,16 +1,24 @@
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from modlse import (
+    BudgetExceeded,
+    DpStats,
     SubsetSelection,
+    add_noise,
     banded_objective,
     brute_force_solve,
     build_instance,
     decompose_objective,
     dp_solve,
+    gen_random_spectrum,
+    modulo_sample,
+    select_subset,
     state_alphabet,
+    synth_line_spectral,
 )
 from modlse.dp import DEFAULT_BUDGET
 
@@ -128,8 +136,9 @@ class TestDpSolve:
     def test_budget_guard(self):
         rng = np.random.default_rng(58)
         inst = random_instance(12, 3, 2, rng)  # 25^4 = 390625 entries
-        with pytest.raises(ValueError):
+        with pytest.raises(BudgetExceeded):
             dp_solve(inst, budget=10_000)
+        assert issubclass(BudgetExceeded, ValueError)
         assert DEFAULT_BUDGET == 10 ** 8
 
     def test_solution_stays_on_bounded_lattice(self):
@@ -161,6 +170,162 @@ class TestDpSolve:
         moved = inst.with_observation(inst.z_s)  # same instance, sanity
         assert banded_objective(moved, eps_override) >= \
             banded_objective(moved, dp_solve(inst)) - 1e-9
+
+
+    def test_rejects_non_finite_instance_term(self):
+        rng = np.random.default_rng(66)
+        inst = random_instance(12, 2, 1, rng)
+        b = inst.b.copy()
+        b[7] = np.nan
+        with pytest.raises(ValueError, match="non-finite linear term at index 7"):
+            dp_solve(dataclasses.replace(inst, b=b))
+
+    def test_rejects_non_finite_override(self):
+        rng = np.random.default_rng(67)
+        inst = random_instance(12, 2, 1, rng)
+        b = inst.b.copy()
+        b[[4, 9]] = [complex(np.inf, 0.0), complex(0.0, np.nan)]
+        with pytest.raises(ValueError, match="non-finite linear term at index 4"):
+            dp_solve(inst, b=b)
+
+
+def reference_dp_solve(inst, b=None):
+    """Test-only oracle: the gather + ``argmin(axis=0)`` forward pass.
+
+    Gathers each stage's predecessor values through an explicit key table
+    and recovers the next value table with ``take_along_axis``, so it shares
+    with :func:`dp_solve` only the stage arithmetic, not the reductions or
+    the tie-break.  Returns ``(eps, DpStats)``.
+    """
+    p, m = inst.p, inst.n_vars
+    b = inst.b if b is None else b
+    states = state_alphabet(inst.v_bound)
+    bsz = states.size
+    n_stages = m - p
+    band = inst.band
+    q0 = float(band[0].real)
+
+    keys = np.arange(bsz ** p)
+    coupled = np.zeros(bsz ** p, dtype=complex)
+    for t in range(p):
+        digit = (keys // bsz ** (p - 1 - t)) % bsz
+        coupled += band[t + 1] * states[digit]
+    cross = 2.0 * np.real(np.conj(states)[:, None] * coupled[None, :])
+    prev_key = np.arange(bsz)[:, None] * bsz ** (p - 1) + keys[None, :] // bsz
+    base_quad = q0 * np.abs(states) ** 2
+
+    value = np.zeros(bsz ** p)
+    argmins = np.empty((n_stages - 1, bsz ** p), dtype=np.min_scalar_type(bsz - 1))
+    evaluated = 0
+    for k in range(n_stages - 1):
+        stage = value[prev_key] + cross \
+            + (base_quad + 2.0 * np.real(np.conj(states) * b[k]))[:, None]
+        argmins[k] = np.argmin(stage, axis=0)
+        value = np.take_along_axis(stage, argmins[k][None, :].astype(np.intp),
+                                   axis=0)[0]
+        evaluated += stage.size
+
+    tail = np.zeros((bsz,) * (p + 1))
+    for i in range(p + 1):
+        shape = [1] * (p + 1)
+        shape[i] = bsz
+        tail = tail + (base_quad + 2.0 * np.real(
+            np.conj(states) * b[n_stages - 1 + i])).reshape(shape)
+    for i in range(p + 1):
+        for j in range(i + 1, p + 1):
+            pair = 2.0 * np.real(np.conj(states)[:, None]
+                                 * (band[j - i] * states)[None, :])
+            shape = [1] * (p + 1)
+            shape[i], shape[j] = bsz, bsz
+            tail = tail + pair.reshape(shape)
+    tail = tail.reshape(-1)
+    total = value[np.arange(bsz ** (p + 1)) // bsz] + tail
+    evaluated += total.size
+    best = int(np.argmin(total))
+
+    eps = np.zeros(m, dtype=complex)
+    rem = best
+    for i in range(p + 1):
+        digit, rem = divmod(rem, bsz ** (p - i))
+        eps[n_stages - 1 + i] = states[digit]
+    key = best // bsz
+    for k in range(n_stages - 2, -1, -1):
+        s = int(argmins[k][key])
+        eps[k] = states[s]
+        key = s * bsz ** (p - 1) + key // bsz
+    return eps, DpStats(n_stages=n_stages, state_count=bsz,
+                        candidates_evaluated=evaluated,
+                        value_table_entries=bsz ** p)
+
+
+def assert_matches_reference(inst, b=None):
+    eps, stats = dp_solve(inst, b=b, return_stats=True)
+    eps_ref, stats_ref = reference_dp_solve(inst, b=b)
+    np.testing.assert_array_equal(eps, eps_ref)
+    assert stats == stats_ref
+    return eps
+
+
+class TestMatchesReferenceSolver:
+    """``dp_solve`` must return exactly what the gather/argmin oracle does."""
+
+    @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (3, 1), (4, 1),
+                                     (1, 2), (2, 2), (3, 2)])
+    def test_random_instances(self, p, v):
+        rng = np.random.default_rng(70 + 10 * p + v)
+        for _ in range(6 if v == 1 else 3):
+            n = int(rng.integers(p + 3, p + 12))
+            assert_matches_reference(random_instance(n, p, v, rng))
+
+    def test_linear_term_override(self):
+        rng = np.random.default_rng(71)
+        for p in (1, 2, 3):
+            inst = random_instance(14, p, 1, rng)
+            other = rng.normal(size=inst.n_vars) + 1j * rng.normal(size=inst.n_vars)
+            assert_matches_reference(inst, b=other)
+
+    @pytest.mark.parametrize("scale", [0.0, 1.0, 0.5])
+    def test_lattice_terms_force_ties(self, scale):
+        # zero, integer and half-integer observations and linear terms; on a
+        # dyadic band every stage sum is exact, so candidates tie exactly
+        rng = np.random.default_rng(72)
+        dyadic = np.array([2.0, 0.5 + 0.5j, -0.25, 0.25j])
+        for p in (1, 2, 3):
+            inst = random_instance(13, p, 1, rng, randomize_obs=False)
+            size = inst.subset.size
+            z = scale * (rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size))
+            assert_matches_reference(inst.with_observation(z))
+            b = scale * (rng.integers(-2, 3, inst.n_vars)
+                         + 1j * rng.integers(-2, 3, inst.n_vars))
+            assert_matches_reference(inst, b=b)
+            assert_matches_reference(
+                dataclasses.replace(inst, band=dyadic[:p + 1]), b=b)
+
+    @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    def test_all_tied_tables_pick_smallest_index(self, p, v):
+        # with no coupling and a real linear term every stage column ties
+        # across the imaginary parts, so the tie-break alone fixes them:
+        # real part v (b = -1), imaginary part -v (smallest index)
+        rng = np.random.default_rng(73)
+        inst = random_instance(11, p, v, rng)
+        flat = dataclasses.replace(inst, band=np.zeros_like(inst.band))
+        eps = assert_matches_reference(flat, b=-np.ones(inst.n_vars, dtype=complex))
+        np.testing.assert_array_equal(eps, np.full(inst.n_vars, v - 1j * v))
+        eps = assert_matches_reference(flat, b=np.zeros(inst.n_vars, dtype=complex))
+        np.testing.assert_array_equal(eps, np.full(inst.n_vars, -v - 1j * v))
+
+    def test_reference_scenes(self):
+        # n=512, k=3, p=3: the scene of the paper's reference experiment,
+        # solved on the instance term and on a re-centred one
+        rng = np.random.default_rng(74)
+        subset = select_subset(512, 10.0, 0.04)
+        for _ in range(3):
+            spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
+            g = add_noise(synth_line_spectral(spec, 512), 30.0, rng)
+            inst = build_instance(modulo_sample(g, 0.7), 0.7, subset, 3, 1)
+            eps = assert_matches_reference(inst)
+            assert_matches_reference(
+                inst, b=inst.adjoint(inst.z_s + inst.forward(eps)))
 
 
 class TestBruteForce:

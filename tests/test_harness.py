@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from modlse import harness
 from modlse import (
     ExperimentConfig,
     PipelineConfig,
@@ -73,6 +74,16 @@ class TestRunTrial:
         result = run_trial(cfg, 0)
         assert not result.success
         assert result.nmse_db == 0.0
+
+    def test_other_value_errors_propagate(self, monkeypatch):
+        # only a budget violation is a scored failure; any other ValueError
+        # from the pipeline is a fault and must escape the trial
+        def broken(*args, **kwargs):
+            raise ValueError("pipeline fault")
+
+        monkeypatch.setattr(harness, "recover_residual", broken)
+        with pytest.raises(ValueError, match="pipeline fault"):
+            run_trial(small_config(), 0)
 
 
 class TestRunSweep:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import modlse.pipeline as pipeline
 from modlse import (
     METHODS,
     LineSpectrum,
@@ -9,6 +10,7 @@ from modlse import (
     anti_difference,
     build_instance,
     dp_solve,
+    exact_objective,
     gen_random_spectrum,
     modulo_sample,
     recover_line_spectrum,
@@ -65,6 +67,28 @@ class TestRecoverResidual:
         trace = np.array(res.objective_trace)
         assert trace.size == 1 + 2 * 3
         assert np.all(np.diff(trace) <= 1e-12)
+
+    def test_rejected_pass_repeats_objective(self, monkeypatch):
+        # a rejected update leaves the estimate unchanged, so the trace
+        # repeats the last value instead of recomputing it
+        calls = []
+
+        def counted(inst, eps):
+            calls.append(1)
+            return exact_objective(inst, eps)
+
+        monkeypatch.setattr(pipeline, "exact_objective", counted)
+        rng = np.random.default_rng(102)
+        spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
+        g = add_noise(synth_line_spectral(spec, 512), 25.0, rng)
+        y = modulo_sample(g, 0.7)
+        res = recover_residual(y, PipelineConfig(iter_max=3), 0.7, 10.0)
+        rejected = res.dp_rejections + res.omp_rejections
+        assert rejected > 0
+        assert len(calls) == len(res.objective_trace) - rejected
+        trace = res.objective_trace
+        assert sum(a == b for a, b in zip(trace, trace[1:])) >= rejected
+        assert trace[-1] == exact_objective(res.instance, res.eps_diff)
 
     def test_plain_dp_reduction(self):
         # iter_max = 1 with refinement off must equal a single banded solve
