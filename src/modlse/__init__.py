@@ -20,10 +20,8 @@ from .bounds import (
 from .dp import (
     BudgetExceeded,
     DpStats,
-    StageDecomposition,
     banded_objective,
     brute_force_solve,
-    decompose_objective,
     dp_solve,
     state_alphabet,
 )
@@ -87,7 +85,6 @@ __all__ = [
     "SamplingConfig",
     "SubsetSelection",
     "QuadraticInstance",
-    "StageDecomposition",
     "BudgetExceeded",
     "DpStats",
     "PipelineConfig",
@@ -118,7 +115,6 @@ __all__ = [
     "band_energy_ratio",
     "band_energy_lower_bound",
     "state_alphabet",
-    "decompose_objective",
     "banded_objective",
     "dp_solve",
     "brute_force_solve",

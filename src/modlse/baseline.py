@@ -19,6 +19,9 @@ from .transform import anti_difference
 
 __all__ = ["usalg", "select_usalg_order"]
 
+MAX_ORDER = 3
+"""Highest difference order :func:`select_usalg_order` considers."""
+
 
 def _diff_orders(v: np.ndarray, order: int) -> list[np.ndarray]:
     """``[v, diff(v), ..., diff^order(v)]``."""
@@ -58,19 +61,18 @@ def usalg(y: np.ndarray, lam: float, order_d: int = 1) -> np.ndarray:
         + 1j * _recover_real(y.imag, lam, order_d)
 
 
-def select_usalg_order(g_or_y: np.ndarray, d_max: int = 3) -> int:
-    """Difference order minimizing the larger of the two component sup norms.
+def select_usalg_order(g_or_y: np.ndarray) -> int:
+    """Difference order up to ``MAX_ORDER`` minimizing the larger of the two
+    component sup norms.
 
     Ties break toward the smallest order.  White noise grows by sqrt(2) per
     difference, so noisy records select low orders; smooth oversampled
     records shrink under differencing and select high ones.
     """
-    if d_max < 1:
-        raise ValueError("d_max must be >= 1")
     v = np.asarray(g_or_y, dtype=complex)
     best_order, best_val = 1, np.inf
     re, im = v.real, v.imag
-    for d in range(1, d_max + 1):
+    for d in range(1, MAX_ORDER + 1):
         re, im = np.diff(re), np.diff(im)
         if re.size == 0:
             break

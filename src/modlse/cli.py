@@ -9,8 +9,9 @@ prop-check  run the analytic property suites
 ingest      validate an IQ file and print a short summary
 
 The ``experiment`` subcommand reads a ``key = value`` config file (one pair
-per line, ``#`` comments); every field can also be overridden by a flag.
-Each subcommand declares only the flags it reads.
+per line, ``#`` comments) whose keys name config dataclass fields; its flags
+override the file.  Each subcommand declares only the flags it reads, and
+every default comes from the config dataclasses.
 """
 
 from __future__ import annotations
@@ -41,11 +42,28 @@ from .signals import (
 )
 
 CONFIG_KEYS = {
-    "scenario": str, "method": str, "trials": int, "parallelism": int,
-    "success_threshold_db": float, "n": int, "gamma": float, "lambda": float,
-    "k": int, "snr_db": float, "seed": int, "p": int, "v": int, "beta": float,
-    "iter_max": int, "snr_grid": "grid", "beta_grid": "grid",
+    # config key: (config section, dataclass field, value parser)
+    "scenario": ("experiment", "scenario", str),
+    "method": ("experiment", "method", str),
+    "trials": ("experiment", "trials", int),
+    "parallelism": ("experiment", "parallelism", int),
+    "success_threshold_db": ("experiment", "success_threshold_db", float),
+    "snr_grid": ("experiment", "snr_grid", "grid"),
+    "beta_grid": ("experiment", "beta_grid", "grid"),
+    "n": ("sampling", "n", int),
+    "gamma": ("sampling", "gamma", float),
+    "lambda": ("sampling", "lam", float),
+    "k": ("sampling", "k", int),
+    "snr_db": ("sampling", "snr_db", float),
+    "seed": ("sampling", "seed", int),
+    "p": ("pipeline", "p", int),
+    "v": ("pipeline", "v_bound", int),
+    "beta": ("pipeline", "beta", float),
+    "iter_max": ("pipeline", "iter_max", int),
 }
+
+DEFAULTS = {"experiment": ExperimentConfig(), "sampling": SamplingConfig(),
+            "pipeline": PipelineConfig()}
 
 
 def parse_config_file(path) -> dict:
@@ -60,7 +78,7 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
-        kind = CONFIG_KEYS[key]
+        kind = CONFIG_KEYS[key][2]
         if kind == "grid":
             out[key] = tuple(float(v) for v in value.split(","))
         else:
@@ -69,41 +87,42 @@ def parse_config_file(path) -> dict:
 
 
 def build_experiment_config(entries: dict) -> ExperimentConfig:
-    samp = SamplingConfig(
-        n=entries.get("n", 512), gamma=entries.get("gamma", 10.0),
-        lam=entries.get("lambda", 0.7), k=entries.get("k", 3),
-        snr_db=entries.get("snr_db", 30.0), seed=entries.get("seed", 0))
-    pipe = PipelineConfig(
-        p=entries.get("p", 3), v_bound=entries.get("v", 1),
-        beta=entries.get("beta", 0.04), iter_max=entries.get("iter_max", 2))
-    return ExperimentConfig(
-        scenario=entries.get("scenario", "snr_sweep"),
-        sampling=samp, pipeline=pipe,
-        method=entries.get("method", "dp_omp_iter"),
-        trials=entries.get("trials", 50),
-        snr_grid=tuple(entries.get("snr_grid", ())),
-        beta_grid=tuple(entries.get("beta_grid", ())),
-        success_threshold_db=entries.get("success_threshold_db", -15.0),
-        parallelism=entries.get("parallelism", 1))
+    """Set each entry's dataclass field; unset fields keep their defaults."""
+    # A config file that lists snr_grid but omits scenario must still run its
+    # grid, so the CLI's scenario is snr_sweep, not the library's single_trial.
+    entries = {"scenario": "snr_sweep", **entries}
+    fields: dict = {section: {} for section in DEFAULTS}
+    for key, value in entries.items():
+        section, name, _ = CONFIG_KEYS[key]
+        fields[section][name] = value
+    return ExperimentConfig(sampling=SamplingConfig(**fields["sampling"]),
+                            pipeline=PipelineConfig(**fields["pipeline"]),
+                            **fields["experiment"])
 
 
-SHARED_FLAGS = {
-    "seed": dict(type=int), "trials": dict(type=int), "p": dict(type=int),
-    "beta": dict(type=float), "snr": dict(type=float),
-    "gamma": dict(type=float), "lambda": dict(dest="lam", type=float),
-    "method": dict(choices=METHODS),
+FLAGS = {
+    # flag: config key
+    "n": "n", "k": "k", "seed": "seed", "trials": "trials", "p": "p",
+    "beta": "beta", "snr": "snr_db", "gamma": "gamma", "lambda": "lambda",
+    "method": "method",
 }
+EXPERIMENT_FLAGS = ("seed", "trials", "p", "beta", "snr", "gamma", "lambda", "method")
 
 
-def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    """Declare the shared flags named in ``defaults``, with those defaults."""
-    for name, default in defaults.items():
-        sub.add_argument(f"--{name}", default=default, **SHARED_FLAGS[name])
+def _add_flags(sub: argparse.ArgumentParser, flags, defaults: bool = True) -> None:
+    """Declare ``flags``.  Each is stored under its dataclass field name, with
+    that field's type and, if ``defaults`` is set, its default (else None)."""
+    for flag in flags:
+        key = FLAGS[flag]
+        section, name, kind = CONFIG_KEYS[key]
+        sub.add_argument(f"--{flag}", dest=name, type=kind,
+                         choices=METHODS if key == "method" else None,
+                         default=getattr(DEFAULTS[section], name) if defaults else None)
 
 
 def _cmd_simulate(args) -> int:
     rng = np.random.default_rng(args.seed)
-    n, gamma, lam, snr = args.n, args.gamma, args.lam, args.snr
+    n, gamma, lam, snr = args.n, args.gamma, args.lam, args.snr_db
     spectrum = gen_random_spectrum(args.k, gamma, rng,
                                    min_separation=2.0 * np.pi / n)
     x = synth_line_spectral(spectrum, n)
@@ -140,12 +159,11 @@ def _cmd_recover(args) -> int:
 
 def _cmd_experiment(args) -> int:
     entries = parse_config_file(args.config) if args.config else {}
-    for key, flag in (("seed", args.seed), ("trials", args.trials),
-                      ("p", args.p), ("beta", args.beta), ("snr_db", args.snr),
-                      ("gamma", args.gamma), ("lambda", args.lam),
-                      ("method", args.method)):
-        if flag is not None:
-            entries[key] = flag
+    for flag in EXPERIMENT_FLAGS:
+        key = FLAGS[flag]
+        value = getattr(args, CONFIG_KEYS[key][1])
+        if value is not None:
+            entries[key] = value
     cfg = build_experiment_config(entries)
     points = run_sweep(cfg)
     out_prefix = Path(args.out)
@@ -157,13 +175,13 @@ def _cmd_experiment(args) -> int:
     for pt in points:
         print(f"{pt.axis}={pt.value:g} method={pt.method}: "
               f"success={pt.success_rate:.2f} mean_nmse={pt.mean_nmse_db:.1f} dB "
-              f"mean_runtime={pt.mean_runtime_s:.3f}s ({pt.trials} trials)")
+              f"mean_runtime={pt.mean_runtime_s:.3f}s "
+              f"({pt.trials} trials, {pt.failed} failed)")
     return 0
 
 
 def _cmd_prop_check(args) -> int:
-    report = check_properties(draws=args.draws, n_max=args.n_max,
-                                seed=args.seed if args.seed is not None else 0)
+    report = check_properties(draws=args.draws, n_max=args.n_max, seed=args.seed)
     print(report)
     return 0 if report.all_passed else 1
 
@@ -184,26 +202,23 @@ def main(argv=None) -> int:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sim = subs.add_parser("simulate", help="emit folded/unfolded signals to file")
-    sim.add_argument("--n", type=int, default=512)
-    sim.add_argument("--k", type=int, default=3)
     sim.add_argument("--out", required=True, help="output path prefix")
-    _add_flags(sim, {"seed": 0, "snr": 30.0, "gamma": 10.0, "lambda": 0.7})
+    _add_flags(sim, ("n", "k", "seed", "snr", "gamma", "lambda"))
     sim.set_defaults(func=_cmd_simulate)
 
     rec = subs.add_parser("recover", help="run one method on an IQ file")
     rec.add_argument("input")
-    rec.add_argument("--k", type=int, default=3)
     rec.add_argument("--fold", action="store_true",
                      help="apply the modulo in software before recovery")
     rec.add_argument("--out", default=None, help="write recovered signal here")
-    _add_flags(rec, {"gamma": 10.0, "lambda": 0.7, "p": 3, "beta": 0.04,
-                     "method": "dp_omp_iter"})
+    _add_flags(rec, ("k", "gamma", "lambda", "p", "beta", "method"))
     rec.set_defaults(func=_cmd_recover)
 
     exp = subs.add_parser("experiment", help="run sweeps from a config file")
     exp.add_argument("--config", default=None)
     exp.add_argument("--out", required=True, help="output path prefix")
-    _add_flags(exp, dict.fromkeys(SHARED_FLAGS))
+    # None marks an unset flag, which leaves the config file's value in force
+    _add_flags(exp, EXPERIMENT_FLAGS, defaults=False)
     exp.set_defaults(func=_cmd_experiment)
 
     prop = subs.add_parser("prop-check", help="run the analytic property suites")

@@ -30,9 +30,7 @@ from .transform import QuadraticInstance
 __all__ = [
     "BudgetExceeded",
     "DpStats",
-    "StageDecomposition",
     "state_alphabet",
-    "decompose_objective",
     "banded_objective",
     "dp_solve",
     "brute_force_solve",
@@ -60,67 +58,6 @@ class DpStats:
     value_table_entries: int
 
 
-@dataclass(frozen=True)
-class StageDecomposition:
-    """Chain decomposition of ``eps^H Q_banded eps + 2 Re{b^H eps}``.
-
-    Stage ``k`` (0-based, ``k < num_stages - 1``) owns the diagonal entry of
-    variable ``k``, its couplings to the next ``p`` variables, and its linear
-    term; the final stage owns the full trailing ``(p+1)``-variable block.
-    Every stage is a function of the window ``eps[k : k+p+1]``.
-    """
-
-    band: np.ndarray
-    b: np.ndarray
-    p: int
-
-    @property
-    def num_stages(self) -> int:
-        return self.b.size - self.p
-
-    def stage_value(self, k: int, window: np.ndarray) -> float:
-        """Evaluate stage ``k`` on ``window = eps[k : k+p+1]``."""
-        p = self.p
-        if not 0 <= k < self.num_stages:
-            raise IndexError("stage index out of range")
-        if window.size != p + 1:
-            raise ValueError("window must hold p+1 values")
-        if k < self.num_stages - 1:
-            coupled = np.dot(self.band[1:], window[1:])
-            return float(np.real(
-                np.conj(window[0]) * (self.band[0] * window[0]
-                                      + 2.0 * coupled + 2.0 * self.b[k])
-            ))
-        block = _band_block(self.band, p + 1)
-        lin = self.b[k:k + p + 1]
-        return float(np.real(np.conj(window) @ block @ window)
-                     + 2.0 * float(np.real(np.conj(lin) @ window)))
-
-    def total(self, eps: np.ndarray) -> float:
-        """Sum of all stage terms; equals the banded objective."""
-        return sum(self.stage_value(k, eps[k:k + self.p + 1])
-                   for k in range(self.num_stages))
-
-
-def _band_block(band: np.ndarray, size: int) -> np.ndarray:
-    """Dense Hermitian Toeplitz block from offsets ``band[0..p]``."""
-    idx = np.subtract.outer(np.arange(size), np.arange(size))
-    padded = np.zeros(size, dtype=complex)
-    padded[:band.size] = band
-    out = padded[np.minimum(np.abs(idx), size - 1)]
-    out = np.where(np.abs(idx) >= band.size, 0.0, out)
-    return np.where(idx > 0, np.conj(out), out)
-
-
-def decompose_objective(inst: QuadraticInstance) -> StageDecomposition:
-    """Split the banded objective of ``inst`` into its stage chain."""
-    if inst.p < 1:
-        raise ValueError("band order must be >= 1")
-    if inst.n_vars <= inst.p + 1:
-        raise ValueError("instance too short for this band order")
-    return StageDecomposition(band=inst.band, b=inst.b, p=inst.p)
-
-
 def banded_objective(inst: QuadraticInstance, eps: np.ndarray) -> float:
     """``eps^H Q_banded eps + 2 Re{b^H eps}`` without forming dense ``Q``."""
     eps = np.asarray(eps, dtype=complex)
@@ -135,16 +72,15 @@ class BudgetExceeded(ValueError):
     """An exact enumeration would exceed its table-entry budget."""
 
 
-def _check_budget(entries: int, budget: int) -> None:
-    if entries > budget:
+def _check_budget(entries: int) -> None:
+    if entries > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"state-space enumeration of {entries} entries exceeds budget {budget}; "
-            "reduce p or the state bound, or raise the budget explicitly"
+            f"state-space enumeration of {entries} entries exceeds budget {DEFAULT_BUDGET}; "
+            "reduce p or the state bound"
         )
 
 
-def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
-             b: np.ndarray | None = None,
+def dp_solve(inst: QuadraticInstance, *, b: np.ndarray | None = None,
              return_stats: bool = False):
     """Globally minimize the band-truncated objective over bounded states.
 
@@ -169,7 +105,7 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
         raise ValueError("instance too short for this band order")
     states = state_alphabet(v)
     bsz = states.size
-    _check_budget(bsz ** (p + 1), budget)
+    _check_budget(bsz ** (p + 1))
 
     n_stages = m - p
     band = inst.band
@@ -245,8 +181,7 @@ def dp_solve(inst: QuadraticInstance, *, budget: int = DEFAULT_BUDGET,
 
 
 def brute_force_solve(inst: QuadraticInstance, use_banded: bool = True,
-                      *, budget: int = DEFAULT_BUDGET,
-                      b: np.ndarray | None = None) -> np.ndarray:
+                      *, b: np.ndarray | None = None) -> np.ndarray:
     """Exhaustively minimize the exact or banded objective (test-scale only).
 
     Enumerates the full ``(2V+1)^(2*n_vars)`` candidate set by splitting the
@@ -259,7 +194,7 @@ def brute_force_solve(inst: QuadraticInstance, use_banded: bool = True,
     v = inst.v_bound
     states = state_alphabet(v)
     bsz = states.size
-    _check_budget(bsz ** m, budget)
+    _check_budget(bsz ** m)
     if b is None:
         b = inst.b
 

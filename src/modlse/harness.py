@@ -60,7 +60,7 @@ __all__ = [
 SCENARIOS = ("single_trial", "beta_sweep", "snr_sweep", "bandlimited_sweep")
 
 RESULT_COLUMNS = ("trial_id", "seed", "method", "p", "beta", "snr_db",
-                  "nmse_db", "success", "runtime_s")
+                  "nmse_db", "success", "failed", "runtime_s")
 
 
 @dataclass(frozen=True)
@@ -91,7 +91,11 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One recovery attempt, scored."""
+    """One recovery attempt, scored.
+
+    A ``failed`` trial never ran its solve (:class:`BudgetExceeded`); it keeps
+    ``nmse_db == 0.0`` and ``success=False``, and sweep means leave it out.
+    """
 
     trial_id: int
     seed: int
@@ -101,12 +105,13 @@ class TrialResult:
     snr_db: float
     nmse_db: float
     success: bool
+    failed: bool
     runtime_s: float
 
     def as_row(self) -> list:
         return [self.trial_id, self.seed, self.method, self.p,
                 f"{self.beta:.6g}", f"{self.snr_db:.6g}",
-                f"{self.nmse_db:.6f}", int(self.success),
+                f"{self.nmse_db:.6f}", int(self.success), int(self.failed),
                 f"{self.runtime_s:.6f}"]
 
 
@@ -124,8 +129,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     ground truth.  Bandlimited scenes are scored through the same spectral
     fit with the model order set to the number of active bins
     (``floor(n / gamma)``).  Solver budget violations (:class:`BudgetExceeded`)
-    score as failed trials rather than aborting the batch; any other error
-    propagates.
+    come back as ``failed`` trials rather than aborting the batch; any other
+    error propagates.
     """
     rng, seed = _trial_rng(cfg, point_index, trial_index)
     samp = cfg.sampling
@@ -143,6 +148,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
 
     pipe = cfg.pipeline
     start = time.perf_counter()
+    failed = False
     try:
         if METHODS[cfg.method].usalg:
             # oracle: the difference order is picked from the unfolded g,
@@ -160,24 +166,29 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
         x_hat = synth_line_spectral(estimate, samp.n)
         score = nmse(x_hat, x)
     except BudgetExceeded:
-        score = 0.0  # the instance is too large to solve: a failed trial
+        score, failed = 0.0, True  # the instance is too large to solve
     runtime = time.perf_counter() - start
 
     return TrialResult(trial_id=trial_index, seed=seed, method=cfg.method,
                        p=pipe.p, beta=pipe.beta, snr_db=samp.snr_db,
                        nmse_db=score,
-                       success=bool(score < cfg.success_threshold_db),
-                       runtime_s=runtime)
+                       success=not failed and bool(score < cfg.success_threshold_db),
+                       failed=failed, runtime_s=runtime)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregate over the trials of one grid point."""
+    """Aggregate over the trials of one grid point.
+
+    ``mean_nmse_db`` averages the trials that did not fail; it is NaN when
+    all ``failed`` of them did.
+    """
 
     axis: str
     value: float
     method: str
     trials: int
+    failed: int
     success_rate: float
     mean_nmse_db: float
     mean_runtime_s: float
@@ -228,11 +239,12 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     points: list[SweepPoint] = []
     for point_index, value in enumerate(grid):
         results = rows[point_index * cfg.trials:(point_index + 1) * cfg.trials]
+        scored = [r.nmse_db for r in results if not r.failed]
         points.append(SweepPoint(
             axis=axis, value=float(value), method=cfg.method,
-            trials=cfg.trials,
+            trials=cfg.trials, failed=len(results) - len(scored),
             success_rate=float(np.mean([r.success for r in results])),
-            mean_nmse_db=float(np.mean([r.nmse_db for r in results])),
+            mean_nmse_db=float(np.mean(scored)) if scored else float("nan"),
             mean_runtime_s=float(np.mean([r.runtime_s for r in results])),
             results=results))
     return points
@@ -406,8 +418,10 @@ def write_summary_json(path, points: list[SweepPoint]) -> None:
             "value": pt.value,
             "method": pt.method,
             "trials": pt.trials,
+            "failed": pt.failed,
             "success_rate": pt.success_rate,
-            "mean_nmse_db": pt.mean_nmse_db,
+            # JSON has no NaN: a point whose trials all failed has no mean
+            "mean_nmse_db": None if np.isnan(pt.mean_nmse_db) else pt.mean_nmse_db,
             "mean_runtime_s": pt.mean_runtime_s,
         }
         for pt in points

@@ -19,6 +19,15 @@ __all__ = ["nomp", "nmse"]
 
 NMSE_FLOOR_DB = -300.0
 
+GRID_OVERSAMPLE = 4
+"""Zero-padding factor of the detection periodogram."""
+NEWTON_STEPS = 3
+"""Newton iterations per single-atom refinement."""
+CYCLIC_ROUNDS = 3
+"""Rounds of cyclic re-refinement over all atoms after each detection."""
+JOINT_ROUNDS = 40
+"""Cap on the final joint Gauss-Newton rounds."""
+
 
 def _atom(omega: float, n: int) -> np.ndarray:
     return np.exp(1j * omega * np.arange(n))
@@ -60,14 +69,14 @@ def _newton_refine(omega: float, resid: np.ndarray, steps: int) -> float:
     return omega
 
 
-def _joint_refine(g: np.ndarray, omegas: np.ndarray, max_rounds: int = 40):
+def _joint_refine(g: np.ndarray, omegas: np.ndarray):
     """Gauss-Newton over all (frequency, amplitude) pairs with line search."""
     n = np.arange(g.size)
     k = omegas.size
     a, coeffs, resid = _fit_all(g, omegas)
     cost = float(np.linalg.norm(resid) ** 2)
     floor = 1e-28 * float(np.linalg.norm(g) ** 2)
-    for _ in range(max_rounds):
+    for _ in range(JOINT_ROUNDS):
         if cost <= floor:
             break
         prev_cost = cost
@@ -96,10 +105,9 @@ def _joint_refine(g: np.ndarray, omegas: np.ndarray, max_rounds: int = 40):
     return omegas, coeffs
 
 
-def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int,
-                      bin_fraction: float = 0.5):
-    """Collapse estimates closer than ``bin_fraction`` DFT bins; amplitudes add up."""
-    tol = bin_fraction * 2.0 * np.pi / n
+def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int):
+    """Collapse estimates closer than a tenth of a DFT bin; amplitudes add up."""
+    tol = 0.1 * 2.0 * np.pi / n
     order = np.argsort(omegas)
     out_w: list[float] = []
     out_c: list[complex] = []
@@ -115,8 +123,7 @@ def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int,
     return np.array(out_w), np.array(out_c)
 
 
-def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
-                    n: int, bin_fraction: float = 0.5):
+def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray, n: int):
     """Merge half-bin neighbours only when the refit shows no fit loss.
 
     True duplicates (two atoms chasing one peak) are nearly collinear, so
@@ -124,7 +131,7 @@ def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
     pairs that genuinely resolve two components would degrade the fit when
     collapsed, and are kept.
     """
-    tol = bin_fraction * 2.0 * np.pi / n
+    tol = np.pi / n  # half a DFT bin
     _, coeffs, resid = _fit_all(g, omegas)
     cost = float(np.linalg.norm(resid) ** 2)
     scale = float(np.linalg.norm(g) ** 2)
@@ -145,22 +152,17 @@ def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
     return omegas, coeffs
 
 
-def nomp(g: np.ndarray, k: int, grid_oversample: int = 4,
-         newton_steps: int = 3, cyclic_rounds: int = 3) -> LineSpectrum:
+def nomp(g: np.ndarray, k: int) -> LineSpectrum:
     """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
 
-    Parameters
-    ----------
-    g : array
-        Complex samples.
-    k : int
-        Number of sinusoids to extract; must not exceed ``len(g) / 2``.
-    grid_oversample : int
-        Zero-padding factor of the detection periodogram (>= 2).
-    newton_steps : int
-        Newton iterations per single-atom refinement.
-    cyclic_rounds : int
-        Per-detection rounds of cyclic re-refinement over all atoms.
+    ``k`` must not exceed ``len(g) / 2``.  The schedule is fixed: each
+    detection picks the peak of a ``GRID_OVERSAMPLE``-times zero-padded
+    periodogram of the residual and refines it by ``NEWTON_STEPS`` guarded
+    Newton steps, then ``CYCLIC_ROUNDS`` rounds re-refine every atom in turn
+    with a joint amplitude refit after each round.  After the last detection
+    a joint Gauss-Newton pass of at most ``JOINT_ROUNDS`` rounds refines all
+    frequencies and amplitudes together, and half-bin neighbours are merged
+    where the refit loses no fit.
     """
     g = np.asarray(g, dtype=complex)
     n = g.size
@@ -168,13 +170,11 @@ def nomp(g: np.ndarray, k: int, grid_oversample: int = 4,
         raise ValueError("k must be >= 1")
     if k > n / 2:
         raise ValueError("k may not exceed half the record length")
-    if grid_oversample < 2:
-        raise ValueError("grid_oversample must be >= 2")
 
     omegas = np.zeros(0, dtype=float)
     coeffs = np.zeros(0, dtype=complex)
     resid = g.copy()
-    grid = grid_oversample * n
+    grid = GRID_OVERSAMPLE * n
     # A detection that collapses onto an existing atom is merged away and the
     # spent detection is re-issued on the updated residual, so duplicate
     # picks cannot silently shadow a still-missing component.
@@ -183,13 +183,13 @@ def nomp(g: np.ndarray, k: int, grid_oversample: int = 4,
         attempts += 1
         spectrum = np.fft.fft(resid, grid)
         peak = int(np.argmax(np.abs(spectrum)))
-        omega = _newton_refine(2.0 * np.pi * peak / grid, resid, newton_steps)
+        omega = _newton_refine(2.0 * np.pi * peak / grid, resid, NEWTON_STEPS)
         omegas = np.append(omegas, omega)
         a, coeffs, resid = _fit_all(g, omegas)
-        for _ in range(cyclic_rounds):
+        for _ in range(CYCLIC_ROUNDS):
             for i in range(omegas.size):
                 single = resid + a[:, i] * coeffs[i]
-                omegas[i] = _newton_refine(omegas[i], single, newton_steps)
+                omegas[i] = _newton_refine(omegas[i], single, NEWTON_STEPS)
                 a[:, i] = _atom(omegas[i], n)
                 coeffs[i] = np.dot(np.conj(a[:, i]), single) / n
                 resid = single - a[:, i] * coeffs[i]
@@ -197,7 +197,7 @@ def nomp(g: np.ndarray, k: int, grid_oversample: int = 4,
         # Mid-loop, collapse only true duplicates (a wasted detection lands
         # nearly on top of an existing atom); estimates of distinct close
         # components are still settling and must not be chained together.
-        merged_w, _ = _merge_duplicates(omegas, coeffs, n, bin_fraction=0.1)
+        merged_w, _ = _merge_duplicates(omegas, coeffs, n)
         if merged_w.size < omegas.size:
             omegas = merged_w
             a, coeffs, resid = _fit_all(g, omegas)

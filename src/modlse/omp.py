@@ -18,22 +18,18 @@ from .transform import QuadraticInstance, exact_objective
 __all__ = ["omp_refine", "accept_if_improves"]
 
 
-def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray,
-               max_sparsity: int | None = None) -> np.ndarray:
+def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
     """Greedy integer correction ``delta`` reducing ``|z_s + F_s (eps_hat+delta)|^2``.
 
     Support coefficients are re-fit and re-rounded after every selection, and
     the internal residual always reflects the rounded values.  Stops after
-    ``max_sparsity`` selections (default ``ceil(|S|/4)``) or as soon as a
-    rounded update fails to decrease the objective.  Returns the
-    all-zero vector when no improving atom exists.
+    ``ceil(|S|/4)`` selections or as soon as a rounded update fails to
+    decrease the objective.  Returns the all-zero vector when no improving
+    atom exists.
     """
     eps_hat = np.asarray(eps_hat, dtype=complex)
     if eps_hat.size != inst.n_vars:
         raise ValueError("estimate length does not match instance")
-    if max_sparsity is None:
-        max_sparsity = int(np.ceil(inst.subset.size / 4))
-
     base = inst.z_s + inst.forward(eps_hat)
     best_obj = float(np.linalg.norm(base) ** 2)
     best_delta = np.zeros(inst.n_vars, dtype=complex)
@@ -41,7 +37,7 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray,
     support: list[int] = []
     columns = np.zeros((inst.subset.size, 0), dtype=complex)
 
-    for _ in range(max_sparsity):
+    for _ in range(int(np.ceil(inst.subset.size / 4))):
         corr = np.abs(inst.adjoint(residual))
         if support:
             corr[support] = -1.0

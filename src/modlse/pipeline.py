@@ -23,7 +23,7 @@ from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
-from .signals import LineSpectrum, residual_decompose
+from .signals import LineSpectrum, check_lam_gamma, residual_decompose
 from .transform import (
     QuadraticInstance,
     anti_difference,
@@ -116,7 +116,8 @@ class RecoveryResult:
     omp_rejections: int = 0
 
 
-def _finite_samples(y: np.ndarray) -> np.ndarray:
+def _checked_input(y: np.ndarray, lam: float, gamma: float) -> np.ndarray:
+    check_lam_gamma(lam, gamma)
     y = np.asarray(y, dtype=complex)
     bad = np.flatnonzero(~np.isfinite(y))
     if bad.size:
@@ -137,7 +138,7 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     spec = _method(method)
     if spec.usalg:
         raise ValueError("usalg does not solve the residual instance")
-    y = _finite_samples(y)
+    y = _checked_input(y, lam, gamma)
     n = y.size
     subset = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
     inst = build_instance(y, lam, subset, cfg.p, cfg.v_bound)
@@ -210,7 +211,7 @@ def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
     """
     if cfg is None:
         cfg = PipelineConfig()
-    y = _finite_samples(y)
+    y = _checked_input(y, lam, gamma)
     trace, dp_rejected, omp_rejected = [], 0, 0
     if _method(method).usalg:
         eps = residual_decompose(usalg(y, lam, select_usalg_order(y)), y, lam)

@@ -53,6 +53,15 @@ class LineSpectrum:
         return self.omegas.size
 
 
+def check_lam_gamma(lam: float, gamma: float) -> None:
+    """Reject a folding threshold ``lam`` that is not finite and positive, or
+    an oversampling factor ``gamma`` that is not finite and above 1."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+    if not (np.isfinite(gamma) and gamma > 1):
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Scene parameters for simulated modulo acquisition."""
@@ -67,10 +76,7 @@ class SamplingConfig:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError("n must be >= 2")
-        if self.gamma <= 1:
-            raise ValueError("gamma must exceed 1")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        check_lam_gamma(self.lam, self.gamma)
 
 
 def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:

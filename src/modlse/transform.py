@@ -146,9 +146,7 @@ class QuadraticInstance:
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """Apply ``F_s^H`` via inverse FFT of the zero-embedded coefficients."""
-        full = np.zeros(self.n_vars, dtype=complex)
-        full[self.subset.bins] = u
-        return np.fft.ifft(full) * np.sqrt(self.n_vars)
+        return _adjoint(self.subset.bins, self.n_vars, u)
 
     def column(self, j: int) -> np.ndarray:
         """Explicit ``j``-th column of ``F_s`` (all columns share one norm)."""
@@ -179,6 +177,13 @@ class QuadraticInstance:
     def with_observation(self, z_s: np.ndarray) -> "QuadraticInstance":
         """Same geometry, new observation vector (and matching linear term)."""
         return replace(self, z_s=z_s, b=self.adjoint(z_s))
+
+
+def _adjoint(bins: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
+    """``F_s^H u`` for the rows ``bins`` of the ``m``-point unitary DFT."""
+    full = np.zeros(m, dtype=complex)
+    full[bins] = u
+    return np.fft.ifft(full) * np.sqrt(m)
 
 
 def _gram_offsets(bins: np.ndarray, m: int, d: np.ndarray) -> np.ndarray:
@@ -219,10 +224,8 @@ def build_instance(y: np.ndarray, lam: float, subset: SubsetSelection,
     m = y.size - 1
     z_s = dft(first_difference(y))[subset.bins] / (2.0 * lam)
     band = _gram_offsets(subset.bins, m, np.arange(p + 1))
-    full = np.zeros(m, dtype=complex)
-    full[subset.bins] = z_s
-    b = np.fft.ifft(full) * np.sqrt(m)
-    return QuadraticInstance(subset=subset, z_s=z_s, b=b, band=band,
+    return QuadraticInstance(subset=subset, z_s=z_s,
+                             b=_adjoint(subset.bins, m, z_s), band=band,
                              p=p, v_bound=v_bound)
 
 

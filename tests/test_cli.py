@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from modlse import read_iq_csv
+from modlse import ExperimentConfig, PipelineConfig, SamplingConfig, read_iq_csv
 from modlse.cli import build_experiment_config, main, parse_config_file
 
 
@@ -31,6 +31,13 @@ class TestConfigFile:
         assert built.sampling.n == 256
         assert built.pipeline.p == 3
         assert built.trials == 5
+
+    def test_unset_keys_keep_dataclass_defaults(self):
+        # the CLI's one default of its own: scenario snr_sweep
+        assert build_experiment_config({}) == ExperimentConfig(scenario="snr_sweep")
+        built = build_experiment_config({"lambda": 0.5, "v": 2, "snr_db": 20.0})
+        assert built.sampling == SamplingConfig(lam=0.5, snr_db=20.0)
+        assert built.pipeline == PipelineConfig(v_bound=2)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
@@ -128,6 +135,8 @@ class TestCliCommands:
         payload = json.loads(summary.read_text())
         assert payload[0]["method"] == "dp_omp_iter"
         assert payload[0]["trials"] == 2
+        assert payload[0]["failed"] == 0
+        assert "(2 trials, 0 failed)" in capsys.readouterr().out
 
     def test_experiment_flag_overrides(self, tmp_path, capsys):
         prefix = tmp_path / "run"

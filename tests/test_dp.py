@@ -12,7 +12,6 @@ from modlse import (
     banded_objective,
     brute_force_solve,
     build_instance,
-    decompose_objective,
     dp_solve,
     gen_random_spectrum,
     modulo_sample,
@@ -54,7 +53,6 @@ class TestDecomposition:
             n = int(rng.integers(8, 14))
             p = int(rng.integers(1, 4))
             inst = random_instance(n, p, 1, rng)
-            dec = decompose_objective(inst)
             q_banded = inst.q_banded_dense()
             for _ in range(5):
                 eps = rng.integers(-2, 3, inst.n_vars) \
@@ -62,33 +60,13 @@ class TestDecomposition:
                 eps = eps.astype(complex)
                 direct = np.real(np.conj(eps) @ q_banded @ eps) \
                     + 2 * np.real(np.conj(inst.b) @ eps)
-                assert dec.total(eps) == pytest.approx(direct, abs=1e-10)
                 assert banded_objective(inst, eps) == pytest.approx(direct, abs=1e-10)
-
-    def test_zero_input_zero_stages(self):
-        rng = np.random.default_rng(51)
-        inst = random_instance(12, 2, 1, rng)
-        inst = inst.with_observation(np.zeros(inst.subset.size, dtype=complex))
-        dec = decompose_objective(inst)
-        zeros = np.zeros(inst.n_vars, dtype=complex)
-        for k in range(dec.num_stages):
-            assert dec.stage_value(k, zeros[k:k + inst.p + 1]) == 0.0
-
-    def test_stage_count_accounting(self):
-        rng = np.random.default_rng(52)
-        inst = random_instance(5, 1, 1, rng)  # n_vars=4, p=1 -> 3 stages
-        dec = decompose_objective(inst)
-        assert dec.num_stages == 3
-        # final stage takes a window of p+1 = 2 variables
-        with pytest.raises(ValueError):
-            dec.stage_value(2, np.zeros(3, dtype=complex))
-        dec.stage_value(2, np.zeros(2, dtype=complex))
 
     def test_rejects_oversized_band(self):
         rng = np.random.default_rng(53)
         inst = random_instance(5, 3, 1, rng)  # n_vars=4 <= p+1
-        with pytest.raises(ValueError):
-            decompose_objective(inst)
+        with pytest.raises(ValueError, match="instance too short"):
+            dp_solve(inst)
 
 
 def exhaustive_minimum(inst, banded=True):
@@ -135,11 +113,11 @@ class TestDpSolve:
 
     def test_budget_guard(self):
         rng = np.random.default_rng(58)
-        inst = random_instance(12, 3, 2, rng)  # 25^4 = 390625 entries
+        inst = random_instance(12, 4, 3, rng)  # 49^5 ~ 2.8e8 entries
+        assert 49 ** 5 > DEFAULT_BUDGET == 10 ** 8
         with pytest.raises(BudgetExceeded):
-            dp_solve(inst, budget=10_000)
+            dp_solve(inst)
         assert issubclass(BudgetExceeded, ValueError)
-        assert DEFAULT_BUDGET == 10 ** 8
 
     def test_solution_stays_on_bounded_lattice(self):
         rng = np.random.default_rng(59)

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from modlse import (
     run_sweep,
     run_trial,
     write_iq_csv,
+    write_summary_json,
     write_trials_csv,
 )
 
@@ -74,6 +76,7 @@ class TestRunTrial:
         result = run_trial(cfg, 0)
         assert not result.success
         assert result.nmse_db == 0.0
+        assert result.failed
 
     def test_other_value_errors_propagate(self, monkeypatch):
         # only a budget violation is a scored failure; any other ValueError
@@ -98,8 +101,23 @@ class TestRunSweep:
         assert [pt.value for pt in points] == [30.0, 5.0]
         for pt in points:
             assert pt.trials == 3
+            assert pt.failed == 0
             assert 0.0 <= pt.success_rate <= 1.0
             assert len(pt.results) == 3
+
+    def test_failed_trials_left_out_of_mean(self, tmp_path):
+        # every trial blows the enumeration budget: no NMSE to average
+        cfg = small_config(scenario="snr_sweep", snr_grid=(30.0,), trials=2,
+                           pipeline=PipelineConfig(p=4, v_bound=3, beta=0.05))
+        points = run_sweep(cfg)
+        assert points[0].failed == 2
+        assert np.isnan(points[0].mean_nmse_db)
+        assert all(r.failed and r.nmse_db == 0.0 for r in points[0].results)
+        path = tmp_path / "summary.json"
+        write_summary_json(path, points)
+        payload = json.loads(path.read_text())
+        assert payload[0]["failed"] == 2
+        assert payload[0]["mean_nmse_db"] is None
 
     def test_parallelism_invariance(self):
         # two points, so pooled rows must stay in place across the boundary
@@ -196,7 +214,8 @@ class TestTrialCsv:
         path_a = tmp_path / "a.csv"
         write_trials_csv(path_a, results)
         header = path_a.read_text().splitlines()[0]
-        assert header == "trial_id,seed,method,p,beta,snr_db,nmse_db,success,runtime_s"
+        assert header == ("trial_id,seed,method,p,beta,snr_db,nmse_db,success,"
+                          "failed,runtime_s")
         # identical reruns agree in every column except runtime_s
         rerun = [run_trial(cfg, t) for t in range(2)]
         path_b = tmp_path / "b.csv"

@@ -95,10 +95,6 @@ class TestNomp:
         with pytest.raises(ValueError):
             nomp(np.ones(16, dtype=complex), 9)
 
-    def test_rejects_bad_oversample(self):
-        with pytest.raises(ValueError):
-            nomp(np.ones(16, dtype=complex), 1, grid_oversample=1)
-
 
 class TestNmse:
     def test_perfect_estimate_floors(self):

@@ -78,11 +78,17 @@ class TestOmpRefine:
         assert np.max(np.abs(delta.real)) == 3.0
 
     def test_sparsity_cap_respected(self):
+        # 16 planted errors against a cap of ceil(|S|/4) = 12 selections: the
+        # cap stops the greedy pass while improving atoms remain
         rng = np.random.default_rng(75)
-        inst, eps_true = planted_instance(rng, noise=0.5)
-        delta = omp_refine(inst, np.zeros(inst.n_vars, dtype=complex),
-                           max_sparsity=3)
-        assert np.count_nonzero(delta) <= 3
+        inst, eps_true = planted_instance(rng)
+        cap = int(np.ceil(inst.subset.size / 4))
+        assert cap == 12
+        start = eps_true.copy()
+        start[rng.choice(inst.n_vars, size=16, replace=False)] += 1.0
+        delta = omp_refine(inst, start)
+        assert np.count_nonzero(delta) == cap
+        assert np.count_nonzero(omp_refine(inst, start + delta)) > 0
 
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(76)

@@ -6,6 +6,7 @@ from modlse import (
     METHODS,
     LineSpectrum,
     PipelineConfig,
+    SamplingConfig,
     add_noise,
     anti_difference,
     build_instance,
@@ -194,6 +195,22 @@ class TestFullPipeline:
         g[7] = complex(np.nan, 0.0)
         with pytest.raises(ValueError, match="non-finite sample.*index 7"):
             recover_line_spectrum(g, 1, 10.0, 1.0)
+
+    @pytest.mark.parametrize("lam,gamma,name", [
+        (np.nan, 10.0, "lam"), (np.inf, 10.0, "lam"), (-0.7, 10.0, "lam"),
+        (0.0, 10.0, "lam"), (0.7, np.nan, "gamma"), (0.7, np.inf, "gamma"),
+        (0.7, 1.0, "gamma"), (0.7, 0.5, "gamma"),
+    ])
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_rejects_bad_lam_gamma(self, method, lam, gamma, name):
+        y = modulo_sample(synth_line_spectral(LineSpectrum([0.3], [0.5]), 64), 0.4)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            recover_line_spectrum(y, 1, gamma, lam, method=method)
+        if not METHODS[method].usalg:
+            with pytest.raises(ValueError, match=f"^{name} must be finite"):
+                recover_residual(y, PipelineConfig(), lam, gamma, method)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            SamplingConfig(lam=lam, gamma=gamma)
 
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_every_method_end_to_end(self, method):

@@ -10,6 +10,7 @@ from modlse import (
     synth_line_spectral,
     usalg,
 )
+from modlse.baseline import MAX_ORDER
 
 
 def folded_scene(rng, n=256, gamma=25.0, lam=0.4, k=2, head_margin=0.8):
@@ -74,19 +75,19 @@ class TestOrderSelection:
             v = np.cumsum(v) * 0.1  # correlated, mixed behaviour
             direct = []
             re, im = v.real, v.imag
-            for _ in range(4):
+            for _ in range(MAX_ORDER):
                 re, im = np.diff(re), np.diff(im)
                 direct.append(max(np.abs(re).max(), np.abs(im).max()))
-            assert select_usalg_order(v, 4) == int(np.argmin(direct)) + 1
+            assert select_usalg_order(v) == int(np.argmin(direct)) + 1
 
     def test_white_noise_selects_first_order(self):
         rng = np.random.default_rng(93)
         v = rng.normal(size=2000) + 1j * rng.normal(size=2000)
-        assert select_usalg_order(v, 4) == 1
+        assert select_usalg_order(v) == 1
 
     def test_smooth_signal_selects_deepest_order(self):
         g = synth_line_spectral(LineSpectrum([0.02], [1.0 + 0j]), 400)
-        assert select_usalg_order(g, 3) == 3
+        assert select_usalg_order(g) == MAX_ORDER == 3
 
     def test_constant_ties_to_first_order(self):
-        assert select_usalg_order(np.full(50, 2.0 + 1.0j), 4) == 1
+        assert select_usalg_order(np.full(50, 2.0 + 1.0j)) == 1
