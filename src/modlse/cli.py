@@ -11,7 +11,9 @@ ingest      validate an IQ file and print a short summary
 The ``experiment`` subcommand reads a ``key = value`` config file (one pair
 per line, ``#`` comments) whose keys name config dataclass fields; its flags
 override the file.  Each subcommand declares only the flags it reads, and
-every default comes from the config dataclasses.
+every default comes from the config dataclasses.  A subcommand that raises
+``ValueError`` (``BudgetExceeded`` included) or ``OSError`` is reported as
+one line on stderr, with exit status 2.
 """
 
 from __future__ import annotations
@@ -232,7 +234,11 @@ def main(argv=None) -> int:
     ing.set_defaults(func=_cmd_ingest)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # BudgetExceeded is a ValueError
+        print(f"modlse {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

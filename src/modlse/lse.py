@@ -7,13 +7,25 @@ over all frequencies and amplitudes removes the slow coordinate-descent
 tail that appears when two atoms sit within a Rayleigh width of each other.
 Every refinement step is guarded by a line search, so the residual energy
 never increases.
+
+The joint pass screens each line-search candidate before paying for its
+exact residual: the atoms of the candidate frequencies are formed as phasor
+powers (``k`` complex exponentials and one running product down the rows)
+instead of ``n * k`` exponentials.  Only the verdict ``cost(candidate) <
+cost`` is ever used, and an accepted candidate is refitted from exact atoms,
+so the screen changes no output as long as its verdict is the exact one.
+It returns a verdict only when the screened cost clears ``cost`` by a margin
+that bounds the difference between the two evaluations (see
+:func:`_screen_margin`); closer calls fall back to the exact residual.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
-from .signals import LineSpectrum
+from .signals import LineSpectrum, finite_samples
 
 __all__ = ["nomp", "nmse"]
 
@@ -33,11 +45,19 @@ def _atom(omega: float, n: int) -> np.ndarray:
     return np.exp(1j * omega * np.arange(n))
 
 
-def _fit_all(g: np.ndarray, omegas: np.ndarray):
-    n = g.size
-    a = np.exp(1j * np.outer(np.arange(n), omegas))
+def _atoms(omegas: np.ndarray, n: int) -> np.ndarray:
+    """Atom matrix; column ``i`` equals ``_atom(omegas[i], n)`` bit for bit."""
+    return np.exp(1j * np.outer(np.arange(n), omegas))
+
+
+def _fit(g: np.ndarray, a: np.ndarray):
     coeffs, *_ = np.linalg.lstsq(a, g, rcond=None)
-    return a, coeffs, g - a @ coeffs
+    return coeffs, g - a @ coeffs
+
+
+def _fit_all(g: np.ndarray, omegas: np.ndarray):
+    a = _atoms(omegas, g.size)
+    return (a, *_fit(g, a))
 
 
 def _newton_refine(omega: float, resid: np.ndarray, steps: int) -> float:
@@ -47,26 +67,88 @@ def _newton_refine(omega: float, resid: np.ndarray, steps: int) -> float:
     atom gain, and stops early if the local curvature is not concave.
     """
     n = np.arange(resid.size)
+    d1_weighted = -1j * n * resid
+    d2_weighted = -(n ** 2) * resid
+    phase = np.exp(-1j * omega * n)
     for _ in range(steps):
-        phase = np.exp(-1j * omega * n)
-        s = np.dot(resid, phase)
-        s1 = np.dot(-1j * n * resid, phase)
-        s2 = np.dot(-(n ** 2) * resid, phase)
+        s = complex(np.dot(resid, phase))
+        s1 = complex(np.dot(d1_weighted, phase))
+        s2 = complex(np.dot(d2_weighted, phase))
         gain = abs(s) ** 2
-        d1 = 2.0 * np.real(np.conj(s) * s1)
-        d2 = 2.0 * np.real(np.conj(s) * s2) + 2.0 * abs(s1) ** 2
+        d1 = 2.0 * (s.conjugate() * s1).real
+        d2 = 2.0 * (s.conjugate() * s2).real + 2.0 * abs(s1) ** 2
         if d2 >= 0.0:
             break
         step = -d1 / d2
         for _ in range(10):
             cand = (omega + step) % (2.0 * np.pi)
-            if abs(np.dot(resid, np.exp(-1j * cand * n))) ** 2 >= gain:
+            # an accepted candidate's phase is the next step's phase
+            phase = np.exp(-1j * cand * n)
+            if abs(complex(np.dot(resid, phase))) ** 2 >= gain:
                 omega = cand
                 break
             step /= 2.0
         else:
             break
     return omega
+
+
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
+
+
+def _screen_margin(n: int, bound: float) -> float:
+    """Bound on the gap between the screened and the exact candidate cost.
+
+    ``bound`` is ``|g| + sqrt(n) |c|_1``, which bounds both residual norms
+    because every atom entry has unit modulus.  With unit roundoff ``u``,
+    entry ``t`` of a screened atom is within ``(2 + 2 sqrt 2) t u`` of
+    ``exp(i t w)``: ``exp(i w)`` is within ``2u`` and each of the ``t``
+    complex products adds at most ``2 sqrt 2 u``.  The exact atom is within
+    ``2 pi t u + 2u``, from rounding the argument ``t w`` (``w < 2 pi``) and
+    from the exponential.  So the atoms differ by at most ``13.2 t u``, and
+    the products ``A c`` by at most ``13.2 u |c|_1 (n^3/3)^(1/2) <= 7.7 n u
+    sqrt(n) |c|_1`` in norm.  Rounding in the two matrix-vector products
+    (``k <= n/2`` terms a row) and the two subtractions from ``g`` adds
+    ``(1.5 n + 8) u bound``, and each squared norm is computed within
+    ``(n + 5) u bound^2``.  The costs thus differ by less than
+    ``2 (9.2 n + 8) u bound^2 + 2 (n + 5) u bound^2 = (20.4 n + 26) u
+    bound^2``, and the margin's factor ``32 (n + 1)`` leaves room for the
+    second-order terms and the rounding of ``cost +- margin``.
+    """
+    return 32.0 * (n + 1) * _UNIT_ROUNDOFF * bound ** 2
+
+
+def _screen_below(g: np.ndarray, cand: np.ndarray, c: np.ndarray,
+                  cost: float) -> bool | None:
+    """Whether ``|g - A(cand) c|^2 < cost``, or None when too close to call.
+
+    ``A(cand)`` is formed from phasor powers: ``k`` complex exponentials and
+    one running product down the rows, instead of the ``n * k`` exponentials
+    of :func:`_atoms`.  A verdict is returned only when the screened cost
+    clears ``cost`` by :func:`_screen_margin`, so it always equals the
+    verdict of :func:`_exact_below`.
+    """
+    n = g.size
+    powers = np.empty((n, cand.size), dtype=complex)
+    powers[0] = 1.0
+    powers[1:] = np.exp(1j * cand)
+    np.multiply.accumulate(powers, axis=0, out=powers)
+    r = g - powers @ c
+    screened = float(np.vdot(r, r).real)
+    bound = float(np.linalg.norm(g)) + np.sqrt(n) * float(np.sum(np.abs(c)))
+    margin = _screen_margin(n, bound)
+    if screened < cost - margin:
+        return True
+    if screened > cost + margin:
+        return False
+    return None
+
+
+def _exact_below(g: np.ndarray, cand: np.ndarray, c: np.ndarray,
+                 cost: float) -> bool:
+    """Whether ``|g - A(cand) c|^2 < cost``, with the atoms of :func:`_atoms`."""
+    r = g - _atoms(cand, g.size) @ c
+    return float(np.linalg.norm(r) ** 2) < cost
 
 
 def _joint_refine(g: np.ndarray, omegas: np.ndarray):
@@ -90,9 +172,13 @@ def _joint_refine(g: np.ndarray, omegas: np.ndarray):
         step = 1.0
         for _ in range(20):
             cand = (omegas + step * d_omegas) % (2.0 * np.pi)
-            a_cand = np.exp(1j * np.outer(n, cand))
-            r_cand = g - a_cand @ (coeffs + step * d_coeffs)
-            if float(np.linalg.norm(r_cand) ** 2) < cost:
+            c_cand = coeffs + step * d_coeffs
+            # Only the verdict is used: an accepted step is refitted below
+            # from exact atoms, so a screened verdict changes no output.
+            below = _screen_below(g, cand, c_cand, cost)
+            if below is None:
+                below = _exact_below(g, cand, c_cand, cost)
+            if below:
                 omegas = cand
                 break
             step /= 2.0
@@ -155,17 +241,22 @@ def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray, n: in
 def nomp(g: np.ndarray, k: int) -> LineSpectrum:
     """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
 
-    ``k`` must not exceed ``len(g) / 2``.  The schedule is fixed: each
-    detection picks the peak of a ``GRID_OVERSAMPLE``-times zero-padded
-    periodogram of the residual and refines it by ``NEWTON_STEPS`` guarded
-    Newton steps, then ``CYCLIC_ROUNDS`` rounds re-refine every atom in turn
-    with a joint amplitude refit after each round.  After the last detection
+    ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
+    schedule is fixed: each detection picks the peak of a
+    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual and
+    refines it by ``NEWTON_STEPS`` guarded Newton steps, then
+    ``CYCLIC_ROUNDS`` rounds re-refine every atom in turn with a joint
+    amplitude refit after each round.  After the last detection
     a joint Gauss-Newton pass of at most ``JOINT_ROUNDS`` rounds refines all
     frequencies and amplitudes together, and half-bin neighbours are merged
     where the refit loses no fit.
     """
-    g = np.asarray(g, dtype=complex)
+    g = finite_samples(g)
     n = g.size
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n / 2:
@@ -193,7 +284,8 @@ def nomp(g: np.ndarray, k: int) -> LineSpectrum:
                 a[:, i] = _atom(omegas[i], n)
                 coeffs[i] = np.dot(np.conj(a[:, i]), single) / n
                 resid = single - a[:, i] * coeffs[i]
-            a, coeffs, resid = _fit_all(g, omegas)
+            # every column of ``a`` now holds the atom of its refined omega
+            coeffs, resid = _fit(g, a)
         # Mid-loop, collapse only true duplicates (a wasted detection lands
         # nearly on top of an existing atom); estimates of distinct close
         # components are still settling and must not be chained together.

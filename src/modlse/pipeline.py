@@ -23,7 +23,7 @@ from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
-from .signals import LineSpectrum, check_lam_gamma, residual_decompose
+from .signals import LineSpectrum, check_lam_gamma, finite_samples, residual_decompose
 from .transform import (
     QuadraticInstance,
     anti_difference,
@@ -118,11 +118,7 @@ class RecoveryResult:
 
 def _checked_input(y: np.ndarray, lam: float, gamma: float) -> np.ndarray:
     check_lam_gamma(lam, gamma)
-    y = np.asarray(y, dtype=complex)
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"{bad.size} non-finite sample(s), first at index {bad[0]}")
-    return y
+    return finite_samples(y)
 
 
 def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,

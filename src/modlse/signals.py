@@ -62,6 +62,15 @@ def check_lam_gamma(lam: float, gamma: float) -> None:
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
 
 
+def finite_samples(x) -> np.ndarray:
+    """Return ``x`` as a complex array, rejecting any non-finite sample."""
+    x = np.asarray(x, dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(x))
+    if bad.size:
+        raise ValueError(f"{bad.size} non-finite sample(s), first at index {bad[0]}")
+    return x
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     """Scene parameters for simulated modulo acquisition."""

@@ -105,6 +105,29 @@ class TestCliCommands:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    def test_experiment_without_grid_is_one_line_error(self, tmp_path, capsys):
+        assert main(["experiment", "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("modlse experiment: error: snr_sweep requires a "
+                       "non-empty snr_grid\n")
+
+    def test_recover_bad_lambda_is_one_line_error(self, tmp_path, capsys):
+        prefix = tmp_path / "scene"
+        main(["simulate", "--n", "64", "--k", "1", "--out", str(prefix)])
+        capsys.readouterr()
+        assert main(["recover", str(tmp_path / "scene_folded.csv"),
+                     "--lambda", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("modlse recover: error: lam must be finite and "
+                       "positive, got -1.0\n")
+
+    def test_missing_input_is_one_line_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert main(["recover", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("modlse recover: error: ") and str(missing) in err
+        assert err.count("\n") == 1
+
     def test_experiment_bandlimited_scenario(self, tmp_path, capsys):
         cfg = tmp_path / "bl.cfg"
         cfg.write_text(

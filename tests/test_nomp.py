@@ -4,10 +4,24 @@ import pytest
 from modlse import (
     LineSpectrum,
     add_noise,
+    gen_bandlimited,
     gen_random_spectrum,
     nmse,
     nomp,
     synth_line_spectral,
+)
+from modlse.lse import (
+    CYCLIC_ROUNDS,
+    GRID_OVERSAMPLE,
+    JOINT_ROUNDS,
+    NEWTON_STEPS,
+    _atom,
+    _exact_below,
+    _fit_all,
+    _merge_duplicates,
+    _merge_lossless,
+    _screen_below,
+    _screen_margin,
 )
 
 
@@ -94,6 +108,186 @@ class TestNomp:
     def test_rejects_excessive_order(self):
         with pytest.raises(ValueError):
             nomp(np.ones(16, dtype=complex), 9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    def test_rejects_non_finite_samples(self, bad):
+        g = np.ones(16, dtype=complex)
+        g[5] = bad
+        g[9] = bad
+        with pytest.raises(ValueError, match="2 non-finite sample\\(s\\), first at index 5"):
+            nomp(g, 2)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", None])
+    def test_rejects_non_integer_order(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            nomp(np.ones(16, dtype=complex), k)
+
+    def test_accepts_numpy_integer_order(self):
+        g = synth_line_spectral(LineSpectrum([0.5, 1.5], [1.0, 0.5]), 32)
+        assert nomp(g, np.int64(2)).order == 2
+
+
+# The detection loop and refinements as they were before the joint line
+# search was screened and the Newton loop trimmed; nomp must reproduce their
+# output bit for bit.
+def reference_newton_refine(omega, resid, steps):
+    n = np.arange(resid.size)
+    for _ in range(steps):
+        phase = np.exp(-1j * omega * n)
+        s = np.dot(resid, phase)
+        s1 = np.dot(-1j * n * resid, phase)
+        s2 = np.dot(-(n ** 2) * resid, phase)
+        gain = abs(s) ** 2
+        d1 = 2.0 * np.real(np.conj(s) * s1)
+        d2 = 2.0 * np.real(np.conj(s) * s2) + 2.0 * abs(s1) ** 2
+        if d2 >= 0.0:
+            break
+        step = -d1 / d2
+        for _ in range(10):
+            cand = (omega + step) % (2.0 * np.pi)
+            if abs(np.dot(resid, np.exp(-1j * cand * n))) ** 2 >= gain:
+                omega = cand
+                break
+            step /= 2.0
+        else:
+            break
+    return omega
+
+
+def reference_joint_refine(g, omegas):
+    n = np.arange(g.size)
+    k = omegas.size
+    a, coeffs, resid = _fit_all(g, omegas)
+    cost = float(np.linalg.norm(resid) ** 2)
+    floor = 1e-28 * float(np.linalg.norm(g) ** 2)
+    for _ in range(JOINT_ROUNDS):
+        if cost <= floor:
+            break
+        prev_cost = cost
+        datom = (1j * n)[:, None] * a * coeffs[None, :]
+        jac = np.hstack([a, 1j * a, datom])
+        jac = np.vstack([jac.real, jac.imag])
+        rhs = np.concatenate([resid.real, resid.imag])
+        upd, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
+        d_coeffs = upd[:k] + 1j * upd[k:2 * k]
+        d_omegas = upd[2 * k:]
+        step = 1.0
+        for _ in range(20):
+            cand = (omegas + step * d_omegas) % (2.0 * np.pi)
+            a_cand = np.exp(1j * np.outer(n, cand))
+            r_cand = g - a_cand @ (coeffs + step * d_coeffs)
+            if float(np.linalg.norm(r_cand) ** 2) < cost:
+                omegas = cand
+                break
+            step /= 2.0
+        else:
+            break
+        a, coeffs, resid = _fit_all(g, omegas)
+        cost = float(np.linalg.norm(resid) ** 2)
+        if prev_cost - cost <= 1e-12 * prev_cost:
+            break
+    return omegas, coeffs
+
+
+def reference_nomp(g, k):
+    g = np.asarray(g, dtype=complex)
+    n = g.size
+    omegas = np.zeros(0, dtype=float)
+    coeffs = np.zeros(0, dtype=complex)
+    resid = g.copy()
+    grid = GRID_OVERSAMPLE * n
+    attempts = 0
+    while omegas.size < k and attempts < 2 * k:
+        attempts += 1
+        spectrum = np.fft.fft(resid, grid)
+        peak = int(np.argmax(np.abs(spectrum)))
+        omega = reference_newton_refine(2.0 * np.pi * peak / grid, resid,
+                                        NEWTON_STEPS)
+        omegas = np.append(omegas, omega)
+        a, coeffs, resid = _fit_all(g, omegas)
+        for _ in range(CYCLIC_ROUNDS):
+            for i in range(omegas.size):
+                single = resid + a[:, i] * coeffs[i]
+                omegas[i] = reference_newton_refine(omegas[i], single, NEWTON_STEPS)
+                a[:, i] = _atom(omegas[i], n)
+                coeffs[i] = np.dot(np.conj(a[:, i]), single) / n
+                resid = single - a[:, i] * coeffs[i]
+            a, coeffs, resid = _fit_all(g, omegas)
+        merged_w, _ = _merge_duplicates(omegas, coeffs, n)
+        if merged_w.size < omegas.size:
+            omegas = merged_w
+            a, coeffs, resid = _fit_all(g, omegas)
+    omegas, coeffs = reference_joint_refine(g, omegas)
+    omegas, coeffs = _merge_lossless(g, omegas, coeffs, n)
+    return LineSpectrum(omegas, coeffs)
+
+
+def assert_matches_reference(g, k):
+    est, ref = nomp(g, k), reference_nomp(g, k)
+    assert est.omegas.tobytes() == ref.omegas.tobytes()
+    assert est.coeffs.tobytes() == ref.coeffs.tobytes()
+
+
+class TestNompMatchesReference:
+    @pytest.mark.parametrize("snr_db", [30.0, 14.0])
+    def test_three_lines(self, snr_db):
+        rng = np.random.default_rng(84)
+        n = 512
+        for _ in range(3):
+            spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / n)
+            assert_matches_reference(
+                add_noise(synth_line_spectral(spec, n), snr_db, rng), 3)
+
+    @pytest.mark.parametrize("n,scenes", [(200, 2), (400, 1)])
+    def test_bandlimited(self, n, scenes):
+        rng = np.random.default_rng(85)
+        for _ in range(scenes):
+            g = add_noise(gen_bandlimited(n, 10.0, rng), 30.0, rng)
+            assert_matches_reference(g, n // 10)
+
+    def test_pair_half_a_bin_apart(self):
+        n = 128
+        omegas = [1.0, 1.0 + np.pi / n]
+        rng = np.random.default_rng(86)
+        x = synth_line_spectral(LineSpectrum(omegas, [1.0, 0.7j]), n)
+        assert_matches_reference(x, 2)
+        assert_matches_reference(add_noise(x, 25.0, rng), 2)
+
+
+class TestScreen:
+    @staticmethod
+    def draw(rng, n, k):
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        cand = rng.uniform(0.0, 2.0 * np.pi, k)
+        c = rng.normal(size=k) + 1j * rng.normal(size=k)
+        exact = float(np.linalg.norm(g - np.exp(1j * np.outer(np.arange(n), cand))
+                                     @ c) ** 2)
+        margin = _screen_margin(n, float(np.linalg.norm(g))
+                                + np.sqrt(n) * float(np.sum(np.abs(c))))
+        return g, cand, c, exact, margin
+
+    def test_verdict_equals_exact_comparison(self):
+        rng = np.random.default_rng(87)
+        verdicts = 0
+        for n, k in [(2, 1), (16, 3), (200, 20), (512, 3), (400, 40)]:
+            g, cand, c, exact, margin = self.draw(rng, n, k)
+            offsets = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)]) * margin
+            for cost in np.concatenate([exact + offsets, exact - offsets,
+                                        exact * np.array([0.5, 0.99, 1.01, 2.0])]):
+                verdict = _screen_below(g, cand, c, float(cost))
+                if verdict is not None:
+                    verdicts += 1
+                    assert verdict == _exact_below(g, cand, c, float(cost))
+        assert verdicts > 100
+
+    def test_cost_within_margin_falls_back(self):
+        rng = np.random.default_rng(88)
+        for n, k in [(16, 3), (200, 20), (512, 3)]:
+            g, cand, c, exact, margin = self.draw(rng, n, k)
+            for cost in (exact, exact - 0.5 * margin, exact + 0.5 * margin):
+                assert _screen_below(g, cand, c, cost) is None
+            assert _screen_below(g, cand, c, exact + 2.0 * margin) is True
+            assert _screen_below(g, cand, c, exact - 2.0 * margin) is False
 
 
 class TestNmse:
