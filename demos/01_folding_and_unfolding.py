@@ -51,7 +51,7 @@ leak = np.abs(dft(first_difference(x)))
 lo = int(np.floor((n - 1) / gamma))
 print(f"tone leakage just above the signal band (bin {lo + 1}): "
       f"{leak[lo + 1]:.4f}")
-bins = select_subset(n, gamma, 0.04).bins
+bins = select_subset(n, gamma, 0.04)
 worst_bin = int(bins[np.argmax(leak[bins])])
 print(f"after trimming a beta = 0.04 margin (bins {bins[0]}..{bins[-1]}): "
       f"max leakage {leak[bins].max():.4f} at bin {worst_bin}")

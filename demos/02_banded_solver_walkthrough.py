@@ -11,7 +11,6 @@ with the greedy lattice refinement on top.
 import numpy as np
 
 from modlse import (
-    SubsetSelection,
     add_noise,
     band_energy_lower_bound,
     band_energy_ratio,
@@ -33,19 +32,18 @@ rng = np.random.default_rng(2)
 
 print("=== how much energy does the band keep? ===")
 n, gamma = 512, 10.0
-subset = select_subset(n, gamma, 0.04)
-m_excl = n - subset.size
-print(f"subset keeps {subset.size} of {n - 1} bins (excluded: {m_excl})")
+guard_bins = select_subset(n, gamma, 0.04)
+m_excl = n - guard_bins.size
+print(f"subset keeps {guard_bins.size} of {n - 1} bins (excluded: {m_excl})")
 print(" p   exact ratio   lower bound")
 for p in (1, 2, 3, 4):
     print(f" {p}   {band_energy_ratio(n, m_excl, p):.4f}        "
           f"{band_energy_lower_bound(n, m_excl, p):.4f}")
 
 print("\n=== exactness of the dynamic program (toy scale) ===")
-bins = np.array([1, 2, 4, 5])
-toy = SubsetSelection(n=8, gamma=4.0, beta=0.0, bins=bins)
+toy_bins = np.array([1, 2, 4, 5])
 y_toy = rng.normal(size=8) + 1j * rng.normal(size=8)
-inst = build_instance(y_toy, 0.5, toy, 2, 1)
+inst = build_instance(y_toy, 0.5, toy_bins, 2, 1)
 eps_dp = dp_solve(inst)
 eps_bf = brute_force_solve(inst)
 print(f"dp objective    = {banded_objective(inst, eps_dp):+.6f}")

@@ -64,7 +64,6 @@ from .signals import (
 )
 from .transform import (
     QuadraticInstance,
-    SubsetSelection,
     anti_difference,
     beta_limits,
     build_instance,
@@ -83,7 +82,6 @@ __all__ = [
     "METHODS",
     "LineSpectrum",
     "SamplingConfig",
-    "SubsetSelection",
     "QuadraticInstance",
     "BudgetExceeded",
     "DpStats",

@@ -81,10 +81,11 @@ def parse_config_file(path) -> dict:
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
         kind = CONFIG_KEYS[key][2]
-        if kind == "grid":
-            out[key] = tuple(float(v) for v in value.split(","))
-        else:
-            out[key] = kind(value)
+        try:
+            out[key] = (tuple(float(v) for v in value.split(","))
+                        if kind == "grid" else kind(value))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{line_no}: {key}: {exc}") from None
     return out
 
 
@@ -183,7 +184,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_prop_check(args) -> int:
-    report = check_properties(draws=args.draws, n_max=args.n_max, seed=args.seed)
+    report = check_properties(**{k: v for k, v in vars(args).items()
+                                 if k in ("draws", "n_max", "seed") and v is not None})
     print(report)
     return 0 if report.all_passed else 1
 
@@ -224,9 +226,9 @@ def main(argv=None) -> int:
     exp.set_defaults(func=_cmd_experiment)
 
     prop = subs.add_parser("prop-check", help="run the analytic property suites")
-    prop.add_argument("--draws", type=int, default=200)
-    prop.add_argument("--n-max", dest="n_max", type=int, default=32)
-    prop.add_argument("--seed", type=int, default=0)
+    prop.add_argument("--draws", type=int)
+    prop.add_argument("--n-max", dest="n_max", type=int)
+    prop.add_argument("--seed", type=int)
     prop.set_defaults(func=_cmd_prop_check)
 
     ing = subs.add_parser("ingest", help="validate and summarize an IQ file")

@@ -344,7 +344,13 @@ def _check_energy_ratio(n_max: int) -> tuple[PropertyCheck, PropertyCheck]:
 
 def check_properties(draws: int = 200, n_max: int = 32,
                      seed: int = 0) -> PropertyReport:
-    """Run the bound property suites and report pass/fail with margins."""
+    """Run the bound property suites and report pass/fail with margins.
+
+    Fewer than one draw or an ``n_max`` below 4 would check nothing."""
+    if draws < 1:
+        raise ValueError(f"draws must be >= 1, got {draws}")
+    if n_max < 4:
+        raise ValueError(f"n_max must be >= 4, got {n_max}")
     rng = np.random.default_rng(seed)
     checks = [_check_state_bound(rng, draws), _check_leakage(rng, draws)]
     checks.extend(_check_energy_ratio(n_max))

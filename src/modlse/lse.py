@@ -151,11 +151,15 @@ def _exact_below(g: np.ndarray, cand: np.ndarray, c: np.ndarray,
     return float(np.linalg.norm(r) ** 2) < cost
 
 
-def _joint_refine(g: np.ndarray, omegas: np.ndarray):
-    """Gauss-Newton over all (frequency, amplitude) pairs with line search."""
+def _joint_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
+                  coeffs: np.ndarray, resid: np.ndarray):
+    """Gauss-Newton over all (frequency, amplitude) pairs with line search.
+
+    Starts from the caller's fit ``a, coeffs, resid = _fit_all(g, omegas)``
+    and returns the refined frequencies, their fit and its residual energy.
+    """
     n = np.arange(g.size)
     k = omegas.size
-    a, coeffs, resid = _fit_all(g, omegas)
     cost = float(np.linalg.norm(resid) ** 2)
     floor = 1e-28 * float(np.linalg.norm(g) ** 2)
     for _ in range(JOINT_ROUNDS):
@@ -188,7 +192,7 @@ def _joint_refine(g: np.ndarray, omegas: np.ndarray):
         cost = float(np.linalg.norm(resid) ** 2)
         if prev_cost - cost <= 1e-12 * prev_cost:
             break
-    return omegas, coeffs
+    return omegas, coeffs, cost
 
 
 def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int):
@@ -209,17 +213,17 @@ def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int):
     return np.array(out_w), np.array(out_c)
 
 
-def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray, n: int):
+def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
+                    cost: float, n: int):
     """Merge half-bin neighbours only when the refit shows no fit loss.
 
+    ``coeffs`` and ``cost`` are the fit of ``omegas`` and its residual energy.
     True duplicates (two atoms chasing one peak) are nearly collinear, so
     dropping one and refitting re-absorbs its amplitude at no cost.  Close
     pairs that genuinely resolve two components would degrade the fit when
     collapsed, and are kept.
     """
     tol = np.pi / n  # half a DFT bin
-    _, coeffs, resid = _fit_all(g, omegas)
-    cost = float(np.linalg.norm(resid) ** 2)
     scale = float(np.linalg.norm(g) ** 2)
     while omegas.size > 1:
         order = np.argsort(omegas)
@@ -293,8 +297,8 @@ def nomp(g: np.ndarray, k: int) -> LineSpectrum:
         if merged_w.size < omegas.size:
             omegas = merged_w
             a, coeffs, resid = _fit_all(g, omegas)
-    omegas, coeffs = _joint_refine(g, omegas)
-    omegas, coeffs = _merge_lossless(g, omegas, coeffs, n)
+    omegas, coeffs, cost = _joint_refine(g, omegas, a, coeffs, resid)
+    omegas, coeffs = _merge_lossless(g, omegas, coeffs, cost, n)
     return LineSpectrum(omegas, coeffs)
 
 

@@ -35,9 +35,9 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
     best_delta = np.zeros(inst.n_vars, dtype=complex)
     residual = base
     support: list[int] = []
-    columns = np.zeros((inst.subset.size, 0), dtype=complex)
+    columns = np.zeros((inst.bins.size, 0), dtype=complex)
 
-    for _ in range(int(np.ceil(inst.subset.size / 4))):
+    for _ in range(int(np.ceil(inst.bins.size / 4))):
         corr = np.abs(inst.adjoint(residual))
         if support:
             corr[support] = -1.0

@@ -136,8 +136,8 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
         raise ValueError("usalg does not solve the residual instance")
     y = _checked_input(y, lam, gamma)
     n = y.size
-    subset = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
-    inst = build_instance(y, lam, subset, cfg.p, cfg.v_bound)
+    bins = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
+    inst = build_instance(y, lam, bins, cfg.p, cfg.v_bound)
     eps_d = np.zeros(inst.n_vars, dtype=complex)
     trace = [exact_objective(inst, eps_d)]
 

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 __all__ = [
-    "SubsetSelection",
     "QuadraticInstance",
     "first_difference",
     "anti_difference",
@@ -66,31 +65,13 @@ def beta_limits(n: int, gamma: float) -> tuple[float, float]:
     return 1.0 / (n - 1), (gamma - 1.0) / (2.0 * gamma)
 
 
-@dataclass(frozen=True)
-class SubsetSelection:
-    """A contiguous block of difference-domain DFT bins (0-based indices).
-
-    The block starts just above the signal band plus a ``beta`` fraction of
-    guard bins and stops the same fraction short of the top, so both the
-    signal's spectral leakage and its wrap-around image are excluded.
-    """
-
-    n: int
-    gamma: float
-    beta: float
-    bins: np.ndarray = field(repr=False)
-
-    @property
-    def size(self) -> int:
-        return self.bins.size
-
-
-def select_subset(n: int, gamma: float, beta: float) -> SubsetSelection:
+def select_subset(n: int, gamma: float, beta: float) -> np.ndarray:
     """Pick the guard-band bins for a length-``n`` record.
 
     With ``L = n - 1`` and ``Nb = L*beta``, the selected 0-based bins are
-    ``floor(L/gamma + Nb) + 1 .. floor(L - Nb)`` inclusive.  ``beta`` must
-    lie strictly inside :func:`beta_limits`.
+    ``floor(L/gamma + Nb) + 1 .. floor(L - Nb)`` inclusive, which excludes
+    both the signal's spectral leakage and its wrap-around image.  ``beta``
+    must lie strictly inside :func:`beta_limits`.
     """
     lo_beta, hi_beta = beta_limits(n, gamma)
     if not lo_beta < beta < hi_beta:
@@ -103,66 +84,61 @@ def select_subset(n: int, gamma: float, beta: float) -> SubsetSelection:
     hi = int(np.floor(big_l - nb))
     if hi < lo:
         raise ValueError("empty subset; beta too large for this n and gamma")
-    return SubsetSelection(n=n, gamma=gamma, beta=beta,
-                           bins=np.arange(lo, hi + 1))
+    return np.arange(lo, hi + 1)
 
 
-def select_subset_tail(n: int, gamma: float) -> SubsetSelection:
+def select_subset_tail(n: int, gamma: float) -> np.ndarray:
     """Variant used by greedy-only recovery: every bin above the signal band."""
     big_l = n - 1
     lo = int(np.floor(big_l / gamma)) + 1
     if lo >= big_l:
         raise ValueError("no guard band; increase n or gamma")
-    return SubsetSelection(n=n, gamma=gamma, beta=0.0,
-                           bins=np.arange(lo, big_l))
+    return np.arange(lo, big_l)
 
 
 @dataclass(frozen=True)
 class QuadraticInstance:
     """Banded integer least-squares instance ``min |z_s + F_s eps|^2``.
 
-    ``F_s`` is the unitary DFT restricted to the selected rows, ``z_s`` the
-    scaled guard-band observations, and ``eps`` ranges over Gaussian-integer
-    sequences of length ``n_vars``.  The Gram matrix ``Q = F_s^H F_s`` is
-    Hermitian Toeplitz, so it is stored as the offset vector
-    ``band[d] = Q[i, i+d]`` for ``d = 0..p``; dense copies are materialized
-    on demand only (tests, diagnostics).
+    ``F_s`` is the ``n_vars``-point unitary DFT restricted to the rows
+    ``bins``, ``z_s`` the scaled guard-band observations, and ``eps`` ranges
+    over Gaussian-integer sequences of length ``n_vars``.  The Gram matrix
+    ``Q = F_s^H F_s`` is Hermitian Toeplitz, so it is stored as the offset
+    vector ``band[d] = Q[i, i+d]`` for ``d = 0..p``; dense copies are
+    materialized on demand only (tests, diagnostics).
     """
 
-    subset: SubsetSelection
+    bins: np.ndarray = field(repr=False)
+    n_vars: int
     z_s: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
     band: np.ndarray = field(repr=False)
     p: int
     v_bound: int
 
-    @property
-    def n_vars(self) -> int:
-        return self.subset.n - 1
-
     def forward(self, eps: np.ndarray) -> np.ndarray:
         """Apply ``F_s`` via FFT: unitary DFT followed by row selection."""
-        return dft(eps)[self.subset.bins]
+        return dft(eps)[self.bins]
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """Apply ``F_s^H`` via inverse FFT of the zero-embedded coefficients."""
-        return _adjoint(self.subset.bins, self.n_vars, u)
+        return _adjoint(self.bins, self.n_vars, u)
 
     def column(self, j: int) -> np.ndarray:
         """Explicit ``j``-th column of ``F_s`` (all columns share one norm)."""
-        return np.exp(-2j * np.pi * self.subset.bins * j / self.n_vars) \
+        return np.exp(-2j * np.pi * self.bins * j / self.n_vars) \
             / np.sqrt(self.n_vars)
 
     def dense_matrix(self) -> np.ndarray:
         """Dense ``F_s`` (|S| x n_vars); test-scale use only."""
         m = self.n_vars
-        return np.exp(-2j * np.pi * np.outer(self.subset.bins, np.arange(m)) / m) \
+        return np.exp(-2j * np.pi * np.outer(self.bins, np.arange(m)) / m) \
             / np.sqrt(m)
 
     def q_dense(self) -> np.ndarray:
         """Dense Hermitian Toeplitz ``Q``; test-scale use only."""
         m = self.n_vars
-        q = _gram_offsets(self.subset.bins, m, np.arange(m))
+        q = _gram_offsets(self.bins, m, np.arange(m))
         idx = np.subtract.outer(np.arange(m), np.arange(m))
         out = q[np.abs(idx)]
         return np.where(idx > 0, np.conj(out), out)
@@ -189,8 +165,9 @@ def _adjoint(bins: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
 def _gram_offsets(bins: np.ndarray, m: int, d: np.ndarray) -> np.ndarray:
     """``(1/m) * sum_{s in bins} exp(-2j*pi*s*d/m)`` per offset ``d``.
 
-    For the contiguous bin blocks used here the sum collapses to a geometric
-    series, evaluated in closed form to keep instance construction ``O(p)``.
+    For contiguous blocks of strictly increasing bins (as checked by
+    :func:`build_instance`) the sum collapses to a geometric series,
+    evaluated in closed form to keep instance construction ``O(p)``.
     """
     lo, hi = int(bins[0]), int(bins[-1])
     contiguous = bins.size == hi - lo + 1
@@ -206,26 +183,35 @@ def _gram_offsets(bins: np.ndarray, m: int, d: np.ndarray) -> np.ndarray:
     return out
 
 
-def build_instance(y: np.ndarray, lam: float, subset: SubsetSelection,
+def build_instance(y: np.ndarray, lam: float, bins: np.ndarray,
                    p: int, v_bound: int) -> QuadraticInstance:
     """Assemble the guard-band instance from modulo samples.
 
-    ``z_s`` is the selected unitary DFT of the first difference of ``y``
-    divided by ``2*lam``; ``b = F_s^H z_s``; the Gram band holds offsets
-    ``0..p`` of ``Q = F_s^H F_s``.
+    ``bins`` are the selected rows of the ``len(y) - 1`` point difference
+    domain DFT, as :func:`select_subset` returns them: a non-empty, strictly
+    increasing integer array inside ``0..len(y)-2``.  ``z_s`` is the selected
+    unitary DFT of the first difference of ``y`` divided by ``2*lam``;
+    ``b = F_s^H z_s``; the Gram band holds offsets ``0..p`` of
+    ``Q = F_s^H F_s``.
     """
     y = np.asarray(y, dtype=complex)
-    if y.size != subset.n:
-        raise ValueError(f"signal length {y.size} does not match subset n={subset.n}")
+    m = y.size - 1
+    bins = np.asarray(bins)
+    if bins.ndim != 1 or bins.size == 0 or not np.issubdtype(bins.dtype, np.integer):
+        raise ValueError("bins must be a non-empty 1-D integer array, got "
+                         f"{bins.dtype} of shape {bins.shape}")
+    if not np.all(bins[1:] > bins[:-1]):
+        raise ValueError("bins must be strictly increasing (sorted, no duplicates)")
+    if bins[0] < 0 or bins[-1] > m - 1:
+        raise ValueError(f"bins {bins[0]}..{bins[-1]} outside 0..{m - 1} "
+                         f"for {y.size} samples")
     if p < 1:
         raise ValueError("band order p must be >= 1")
     if v_bound < 1:
         raise ValueError("state bound must be >= 1")
-    m = y.size - 1
-    z_s = dft(first_difference(y))[subset.bins] / (2.0 * lam)
-    band = _gram_offsets(subset.bins, m, np.arange(p + 1))
-    return QuadraticInstance(subset=subset, z_s=z_s,
-                             b=_adjoint(subset.bins, m, z_s), band=band,
+    z_s = dft(first_difference(y))[bins] / (2.0 * lam)
+    return QuadraticInstance(bins=bins, n_vars=m, z_s=z_s, b=_adjoint(bins, m, z_s),
+                             band=_gram_offsets(bins, m, np.arange(p + 1)),
                              p=p, v_bound=v_bound)
 
 

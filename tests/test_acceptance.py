@@ -16,7 +16,6 @@ from modlse import (
     LineSpectrum,
     PipelineConfig,
     SamplingConfig,
-    SubsetSelection,
     anti_difference,
     band_energy_lower_bound,
     band_energy_ratio,
@@ -103,9 +102,8 @@ def test_criterion_3_dp_matches_brute_force():
         n = m + 1
         bins = np.sort(rng.choice(np.arange(m), size=max(2, m // 2),
                                   replace=False))
-        subset = SubsetSelection(n=n, gamma=4.0, beta=0.0, bins=bins)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        inst = build_instance(y, 0.5, subset, p, 1)
+        inst = build_instance(y, 0.5, bins, p, 1)
         z = rng.normal(size=bins.size) + 1j * rng.normal(size=bins.size)
         inst = inst.with_observation(z)
         gap = abs(banded_objective(inst, dp_solve(inst))

@@ -100,7 +100,7 @@ class TestLeakageBound:
         d_max = float(np.max(np.abs(delta)))
         uniform = 2 * 3 * np.pi * c_max * s_max * d_max / (
             np.sqrt(n - 1) * np.sin(beta * np.pi))
-        for b in select_subset(n, gamma, beta).bins:
+        for b in select_subset(n, gamma, beta):
             assert leakage_bound(spec, n, gamma, int(b)) <= uniform + 1e-12
 
     def test_rejects_in_band_bin(self):

@@ -3,7 +3,13 @@ import json
 import numpy as np
 import pytest
 
-from modlse import ExperimentConfig, PipelineConfig, SamplingConfig, read_iq_csv
+from modlse import (
+    ExperimentConfig,
+    PipelineConfig,
+    PropertyReport,
+    SamplingConfig,
+    read_iq_csv,
+)
 from modlse.cli import build_experiment_config, main, parse_config_file
 
 
@@ -50,6 +56,26 @@ class TestConfigFile:
         cfg.write_text("scenario snr_sweep\n")
         with pytest.raises(ValueError, match="key = value"):
             parse_config_file(cfg)
+
+    @pytest.mark.parametrize("line,message", [
+        ("trials = 3.0", "trials: invalid literal for int()"),
+        ("snr_grid = 20,,30", "snr_grid: could not convert string to float: ''"),
+    ])
+    def test_bad_value_names_its_place(self, tmp_path, line, message):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"seed = 7\n{line}\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value).startswith(f"{cfg}:2: {message}")
+
+    def test_bad_value_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("trials = 3.0\n")
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"modlse experiment: error: {cfg}:1: trials: invalid "
+                       "literal for int() with base 10: '3.0'\n")
 
 
 class TestCliCommands:
@@ -176,3 +202,23 @@ class TestCliCommands:
         assert main(["prop-check", "--draws", "20", "--n-max", "12"]) == 0
         out = capsys.readouterr().out
         assert out.count("[PASS]") == 5
+
+    @pytest.mark.parametrize("argv,problem", [
+        (["--draws", "0", "--n-max", "3"], "draws must be >= 1, got 0"),
+        (["--draws", "0"], "draws must be >= 1, got 0"),
+        (["--n-max", "3"], "n_max must be >= 4, got 3"),
+    ])
+    def test_prop_check_vacuous_run_is_one_line_error(self, argv, problem, capsys):
+        assert main(["prop-check", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"modlse prop-check: error: {problem}\n"
+        assert "[PASS]" not in captured.out
+
+    def test_prop_check_passes_only_set_flags(self, capsys, monkeypatch):
+        import modlse.cli as cli
+        seen = []
+        monkeypatch.setattr(cli, "check_properties",
+                            lambda **kw: seen.append(kw) or PropertyReport([]))
+        assert main(["prop-check"]) == 0
+        assert main(["prop-check", "--seed", "3"]) == 0
+        assert seen == [{}, {"seed": 3}]

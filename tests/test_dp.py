@@ -7,7 +7,6 @@ import pytest
 from modlse import (
     BudgetExceeded,
     DpStats,
-    SubsetSelection,
     add_noise,
     banded_objective,
     brute_force_solve,
@@ -28,9 +27,8 @@ def random_instance(n, p, v, rng, subset_size=None, randomize_obs=True):
     if subset_size is None:
         subset_size = max(1, m // 2)
     bins = np.sort(rng.choice(np.arange(m), size=subset_size, replace=False))
-    subset = SubsetSelection(n=n, gamma=4.0, beta=0.0, bins=bins)
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    inst = build_instance(y, 0.5, subset, p, v)
+    inst = build_instance(y, 0.5, bins, p, v)
     if randomize_obs:
         z = rng.normal(size=subset_size) + 1j * rng.normal(size=subset_size)
         inst = inst.with_observation(z)
@@ -85,7 +83,7 @@ class TestDpSolve:
     def test_zero_linear_term_returns_zero(self):
         rng = np.random.default_rng(54)
         inst = random_instance(20, 2, 1, rng, randomize_obs=False)
-        inst = inst.with_observation(np.zeros(inst.subset.size, dtype=complex))
+        inst = inst.with_observation(np.zeros(inst.bins.size, dtype=complex))
         eps = dp_solve(inst)
         np.testing.assert_array_equal(eps, np.zeros(19, dtype=complex))
 
@@ -270,7 +268,7 @@ class TestMatchesReferenceSolver:
         dyadic = np.array([2.0, 0.5 + 0.5j, -0.25, 0.25j])
         for p in (1, 2, 3):
             inst = random_instance(13, p, 1, rng, randomize_obs=False)
-            size = inst.subset.size
+            size = inst.bins.size
             z = scale * (rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size))
             assert_matches_reference(inst.with_observation(z))
             b = scale * (rng.integers(-2, 3, inst.n_vars)
@@ -296,11 +294,11 @@ class TestMatchesReferenceSolver:
         # n=512, k=3, p=3: the scene of the paper's reference experiment,
         # solved on the instance term and on a re-centred one
         rng = np.random.default_rng(74)
-        subset = select_subset(512, 10.0, 0.04)
+        bins = select_subset(512, 10.0, 0.04)
         for _ in range(3):
             spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
             g = add_noise(synth_line_spectral(spec, 512), 30.0, rng)
-            inst = build_instance(modulo_sample(g, 0.7), 0.7, subset, 3, 1)
+            inst = build_instance(modulo_sample(g, 0.7), 0.7, bins, 3, 1)
             eps = assert_matches_reference(inst)
             assert_matches_reference(
                 inst, b=inst.adjoint(inst.z_s + inst.forward(eps)))

@@ -19,7 +19,6 @@ from modlse.lse import (
     _exact_below,
     _fit_all,
     _merge_duplicates,
-    _merge_lossless,
     _screen_below,
     _screen_margin,
 )
@@ -128,8 +127,9 @@ class TestNomp:
 
 
 # The detection loop and refinements as they were before the joint line
-# search was screened and the Newton loop trimmed; nomp must reproduce their
-# output bit for bit.
+# search was screened, the Newton loop trimmed and the final fit handed from
+# the joint pass to the lossless merge; nomp must reproduce their output bit
+# for bit.
 def reference_newton_refine(omega, resid, steps):
     n = np.arange(resid.size)
     for _ in range(steps):
@@ -189,6 +189,28 @@ def reference_joint_refine(g, omegas):
     return omegas, coeffs
 
 
+def reference_merge_lossless(g, omegas, coeffs, n):
+    tol = np.pi / n
+    _, coeffs, resid = _fit_all(g, omegas)
+    cost = float(np.linalg.norm(resid) ** 2)
+    scale = float(np.linalg.norm(g) ** 2)
+    while omegas.size > 1:
+        order = np.argsort(omegas)
+        gaps = np.diff(omegas[order])
+        tight = int(np.argmin(gaps))
+        if gaps[tight] >= tol:
+            break
+        i, j = order[tight], order[tight + 1]
+        drop = i if abs(coeffs[i]) < abs(coeffs[j]) else j
+        cand_w = np.delete(omegas, drop)
+        _, cand_c, cand_r = _fit_all(g, cand_w)
+        cand_cost = float(np.linalg.norm(cand_r) ** 2)
+        if cand_cost > cost + 1e-9 * scale:
+            break
+        omegas, coeffs, cost = cand_w, cand_c, cand_cost
+    return omegas, coeffs
+
+
 def reference_nomp(g, k):
     g = np.asarray(g, dtype=complex)
     n = g.size
@@ -218,7 +240,7 @@ def reference_nomp(g, k):
             omegas = merged_w
             a, coeffs, resid = _fit_all(g, omegas)
     omegas, coeffs = reference_joint_refine(g, omegas)
-    omegas, coeffs = _merge_lossless(g, omegas, coeffs, n)
+    omegas, coeffs = reference_merge_lossless(g, omegas, coeffs, n)
     return LineSpectrum(omegas, coeffs)
 
 

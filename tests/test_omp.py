@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from modlse import (
-    SubsetSelection,
     accept_if_improves,
     build_instance,
     exact_objective,
@@ -14,9 +13,8 @@ def planted_instance(rng, n=64, subset_size=45, noise=1e-3):
     """Instance whose exact minimizer is a known small lattice vector."""
     m = n - 1
     bins = np.sort(rng.choice(np.arange(m), size=subset_size, replace=False))
-    subset = SubsetSelection(n=n, gamma=8.0, beta=0.0, bins=bins)
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    inst = build_instance(y, 0.5, subset, 2, 1)
+    inst = build_instance(y, 0.5, bins, 2, 1)
     eps_true = (rng.integers(-1, 2, m) + 1j * rng.integers(-1, 2, m)).astype(complex)
     z = -inst.forward(eps_true)
     z = z + noise * (rng.normal(size=subset_size) + 1j * rng.normal(size=subset_size))
@@ -82,7 +80,7 @@ class TestOmpRefine:
         # cap stops the greedy pass while improving atoms remain
         rng = np.random.default_rng(75)
         inst, eps_true = planted_instance(rng)
-        cap = int(np.ceil(inst.subset.size / 4))
+        cap = int(np.ceil(inst.bins.size / 4))
         assert cap == 12
         start = eps_true.copy()
         start[rng.choice(inst.n_vars, size=16, replace=False)] += 1.0

@@ -20,6 +20,7 @@ from modlse import (
     resolve_constant_blind,
     resolve_constant_with_truth,
     select_subset,
+    select_subset_tail,
     synth_line_spectral,
 )
 
@@ -111,7 +112,8 @@ class TestRecoverResidual:
         y = modulo_sample(g, 0.7)
         res = recover_residual(y, PipelineConfig(), 0.7, 10.0, method="omp_only")
         assert res.eps_diff.size == 255
-        assert res.instance.subset.beta == 0.0  # tail selection, not guard band
+        # tail selection, not guard band
+        np.testing.assert_array_equal(res.instance.bins, select_subset_tail(256, 10.0))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

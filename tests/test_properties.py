@@ -14,7 +14,6 @@ from hypothesis import strategies as st  # noqa: E402
 
 from modlse import (  # noqa: E402
     PipelineConfig,
-    SubsetSelection,
     add_noise,
     banded_objective,
     beta_limits,
@@ -24,6 +23,7 @@ from modlse import (  # noqa: E402
     gen_random_spectrum,
     modulo_sample,
     recover_residual,
+    select_subset,
     synth_line_spectral,
 )
 
@@ -41,9 +41,8 @@ def test_dp_matches_brute_force(p, extra, seed, data):
     size = data.draw(st.integers(1, m), label="subset size")
     rng = np.random.default_rng(seed)
     bins = np.sort(rng.choice(m, size=size, replace=False))
-    subset = SubsetSelection(n=n, gamma=4.0, beta=0.0, bins=bins)
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    inst = build_instance(y, 0.5, subset, p, 1).with_observation(
+    inst = build_instance(y, 0.5, bins, p, 1).with_observation(
         rng.normal(size=size) + 1j * rng.normal(size=size))
     if m <= p + 1:  # no stage beyond the band: the DP refuses the instance
         with pytest.raises(ValueError, match="too short"):
@@ -53,6 +52,26 @@ def test_dp_matches_brute_force(p, extra, seed, data):
     eps_bf = brute_force_solve(inst, use_banded=True)
     assert banded_objective(inst, eps_dp) == pytest.approx(
         banded_objective(inst, eps_bf), abs=1e-9)
+
+
+@PROPERTY_SETTINGS
+@given(n=st.integers(3, 2048), gamma=st.floats(1.0, 64.0, exclude_min=True),
+       beta_at=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+def test_interior_beta_gives_valid_bins_or_empty_subset(n, gamma, beta_at):
+    lo, hi = beta_limits(n, gamma)
+    beta = lo + beta_at * (hi - lo)
+    if not lo < beta < hi:  # empty interval, or rounding onto an end
+        return
+    try:
+        bins = select_subset(n, gamma, beta)
+    except ValueError as exc:
+        assert "empty subset" in str(exc)
+        return
+    # above the signal band, and a valid row set for build_instance
+    assert bins[0] > np.floor((n - 1) / gamma)
+    np.testing.assert_array_equal(bins, np.arange(bins[0], bins[-1] + 1))
+    inst = build_instance(np.zeros(n, dtype=complex), 1.0, bins, 1, 1)
+    assert inst.n_vars == n - 1
 
 
 @PROPERTY_SETTINGS

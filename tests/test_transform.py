@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from modlse import (
-    SubsetSelection,
     anti_difference,
+    banded_objective,
     beta_limits,
+    brute_force_solve,
     build_instance,
     dft,
+    dp_solve,
     exact_objective,
     first_difference,
     gen_random_spectrum,
     modulo_sample,
+    omp_refine,
     select_subset,
     select_subset_tail,
     synth_line_spectral,
@@ -98,9 +101,8 @@ class TestSelectSubset:
     def test_reference_selection(self):
         sel = select_subset(512, 10.0, 0.04)
         # 1-based element numbers 73..491 are 0-based bins 72..490
-        assert sel.bins[0] == 72
-        assert sel.bins[-1] == 490
-        assert sel.size == 419
+        np.testing.assert_array_equal(sel, np.arange(72, 491))
+        assert np.issubdtype(sel.dtype, np.integer)
 
     def test_beta_bounds(self):
         select_subset(512, 10.0, 0.25)  # inside (1/511, 0.45)
@@ -123,8 +125,24 @@ class TestSelectSubset:
     def test_tail_variant(self):
         # 1-based elements floor(511/10)+2 .. 511 are 0-based bins 52 .. 510
         sel = select_subset_tail(512, 10.0)
-        assert sel.bins[0] == 52
-        assert sel.bins[-1] == 510
+        np.testing.assert_array_equal(sel, np.arange(52, 511))
+        assert np.issubdtype(sel.dtype, np.integer)
+
+    @pytest.mark.parametrize("n", [16, 128, 512])
+    @pytest.mark.parametrize("gamma", [np.nextafter(1.0, 2.0), 1.0 + 1e-6, 1.001])
+    def test_gamma_just_above_one_rejected(self, n, gamma):
+        # the signal band covers every bin, so no guard band is left
+        lo, hi = beta_limits(n, gamma)
+        with pytest.raises(ValueError, match="outside admissible interval"):
+            select_subset(n, gamma, 0.5 * (lo + hi))
+        with pytest.raises(ValueError, match="no guard band"):
+            select_subset_tail(n, gamma)
+
+    @pytest.mark.parametrize("n,gamma", [(7, 4.0), (16, 4.0), (128, 8.0), (512, 10.0)])
+    def test_beta_at_interval_ends_rejected(self, n, gamma):
+        for beta in beta_limits(n, gamma):
+            with pytest.raises(ValueError, match="outside admissible interval"):
+                select_subset(n, gamma, beta)
 
 
 def make_instance(n=16, gamma=4.0, beta=0.08, p=2, v=1, seed=26, lam=0.5):
@@ -133,19 +151,16 @@ def make_instance(n=16, gamma=4.0, beta=0.08, p=2, v=1, seed=26, lam=0.5):
     g = synth_line_spectral(spec, n) + 0.05 * (rng.normal(size=n)
                                                + 1j * rng.normal(size=n))
     y = modulo_sample(g, lam)
-    subset = select_subset(n, gamma, beta)
-    return build_instance(y, lam, subset, p, v), y
+    return build_instance(y, lam, select_subset(n, gamma, beta), p, v), y
 
 
 class TestBuildInstance:
     def test_full_subset_gives_identity_gram(self):
         # bypass the beta constraint: select every bin directly
         n = 12
-        subset = SubsetSelection(n=n, gamma=4.0, beta=0.0,
-                                 bins=np.arange(n - 1))
         rng = np.random.default_rng(27)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        inst = build_instance(y, 0.5, subset, 2, 1)
+        inst = build_instance(y, 0.5, np.arange(n - 1), 2, 1)
         np.testing.assert_allclose(inst.q_dense(), np.eye(n - 1), atol=1e-12)
 
     def test_gram_matches_dense_product(self):
@@ -167,12 +182,12 @@ class TestBuildInstance:
 
     def test_diagonal_is_subset_fraction(self):
         inst, _ = make_instance(n=32, gamma=8.0, beta=0.05)
-        expected = inst.subset.size / inst.n_vars
+        expected = inst.bins.size / inst.n_vars
         np.testing.assert_allclose(np.diag(inst.q_dense()), expected, atol=1e-12)
 
     def test_observation_definition(self):
         inst, y = make_instance(lam=0.5)
-        expected = dft(first_difference(y))[inst.subset.bins] / 1.0
+        expected = dft(first_difference(y))[inst.bins] / 1.0
         np.testing.assert_allclose(inst.z_s, expected, atol=1e-12)
 
     def test_linear_term_is_adjoint_of_observation(self):
@@ -184,7 +199,7 @@ class TestBuildInstance:
         inst, _ = make_instance()
         rng = np.random.default_rng(28)
         v = rng.normal(size=inst.n_vars) + 1j * rng.normal(size=inst.n_vars)
-        u = rng.normal(size=inst.subset.size) + 1j * rng.normal(size=inst.subset.size)
+        u = rng.normal(size=inst.bins.size) + 1j * rng.normal(size=inst.bins.size)
         fs = inst.dense_matrix()
         np.testing.assert_allclose(inst.forward(v), fs @ v, atol=1e-12)
         np.testing.assert_allclose(inst.adjoint(u), fs.conj().T @ u, atol=1e-12)
@@ -192,18 +207,31 @@ class TestBuildInstance:
     def test_columns_share_norm(self):
         inst, _ = make_instance()
         norms = [np.linalg.norm(inst.column(j)) for j in range(inst.n_vars)]
-        np.testing.assert_allclose(norms, np.sqrt(inst.subset.size / inst.n_vars),
+        np.testing.assert_allclose(norms, np.sqrt(inst.bins.size / inst.n_vars),
                                    atol=1e-12)
 
-    def test_length_mismatch_rejected(self):
-        subset = select_subset(16, 4.0, 0.08)
-        with pytest.raises(ValueError):
-            build_instance(np.zeros(17, dtype=complex), 0.5, subset, 2, 1)
+    @pytest.mark.parametrize("bins,problem", [
+        # three bins from 5 to 7 would pass for the block 5..7 in the Gram
+        ([5, 3, 7], "strictly increasing"),
+        # a repeated row would leave forward and adjoint no longer adjoint
+        ([3, 3, 5], "strictly increasing"),
+        ([], "non-empty"),
+        ([[3, 4], [5, 6]], "1-D"),
+        ([3.0, 4.0], "integer array, got float64"),
+        ([True, False], "integer array, got bool"),
+        ([9, 10, 11], "outside 0..10"),  # bin n-1: past the 11-point DFT
+        ([-1, 0, 1], "outside 0..10"),
+    ], ids=["unsorted", "duplicate", "empty", "2d", "float", "bool",
+            "out_of_range_high", "out_of_range_low"])
+    def test_bad_bins_rejected(self, bins, problem):
+        y = np.zeros(12, dtype=complex)
+        with pytest.raises(ValueError, match=problem):
+            build_instance(y, 0.5, np.array(bins), 2, 1)
 
     def test_recentering_preserves_geometry(self):
         inst, _ = make_instance()
         rng = np.random.default_rng(29)
-        z_new = rng.normal(size=inst.subset.size) + 1j * rng.normal(size=inst.subset.size)
+        z_new = rng.normal(size=inst.bins.size) + 1j * rng.normal(size=inst.bins.size)
         moved = inst.with_observation(z_new)
         np.testing.assert_array_equal(moved.band, inst.band)
         fs = inst.dense_matrix()
@@ -222,6 +250,33 @@ class TestGramSpectrum:
             eig = np.linalg.eigvalsh(q)
             assert eig.min() >= -1e-9
             assert eig.max() <= 1 + 1e-9
+
+
+class TestNarrowGuardBand:
+    # n = 7, gamma = 4: beta 0.17 keeps bins 3..4, beta 0.3 keeps bin 4 only
+    @pytest.mark.parametrize("beta,size", [(0.17, 2), (0.3, 1)])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_solvers_run_on_one_or_two_bins(self, beta, size, p):
+        rng = np.random.default_rng(31)
+        n, gamma, lam = 7, 4.0, 0.5
+        bins = select_subset(n, gamma, beta)
+        assert bins.size == size
+        g = synth_line_spectral(gen_random_spectrum(1, gamma, rng), n)
+        inst = build_instance(modulo_sample(g, lam), lam, bins, p, 1)
+        fs = inst.dense_matrix()
+        assert fs.shape == (size, n - 1)
+        eps_dp = dp_solve(inst)
+        eps_bf = brute_force_solve(inst, use_banded=True)
+        assert banded_objective(inst, eps_dp) == pytest.approx(
+            banded_objective(inst, eps_bf), abs=1e-9)
+        for eps in (np.zeros(inst.n_vars, dtype=complex), eps_dp):
+            assert exact_objective(inst, eps) == pytest.approx(
+                np.linalg.norm(inst.z_s + fs @ eps) ** 2, rel=1e-12, abs=1e-12)
+            delta = omp_refine(inst, eps)
+            np.testing.assert_array_equal(delta, np.round(delta.real)
+                                          + 1j * np.round(delta.imag))
+            assert np.count_nonzero(delta) <= 1  # ceil(|S| / 4) selections
+            assert exact_objective(inst, eps + delta) <= exact_objective(inst, eps)
 
 
 class TestExactObjective:
