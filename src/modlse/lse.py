@@ -1,15 +1,16 @@
 """Newton-refined greedy line spectral estimation with a known model order.
 
 Detection alternates an oversampled-periodogram peak pick with Newton ascent
-on the single-sinusoid fit, followed by a joint least-squares amplitude
-refit and cyclic per-atom re-refinement.  A final joint Gauss-Newton pass
-over all frequencies and amplitudes removes the slow coordinate-descent
-tail that appears when two atoms sit within a Rayleigh width of each other.
-Every refinement step is guarded by a line search, so the residual energy
-never increases.
+on the single-sinusoid fit, followed by one round of cyclic per-atom
+re-refinement and a joint least-squares amplitude refit.  A final joint
+damped Newton pass over all frequencies and amplitudes, on the exact Hessian
+of the residual energy, removes the slow coordinate-descent tail that
+appears when two atoms sit within a Rayleigh width of each other.  Every
+refinement step is guarded, by step halving in detection and by heavier
+damping in the joint pass, so the residual energy never increases.
 
-The joint pass screens each line-search candidate before paying for its
-exact residual: the atoms of the candidate frequencies are formed as phasor
+The joint pass screens each damped candidate before paying for its exact
+residual: the atoms of the candidate frequencies are formed as phasor
 powers (``k`` complex exponentials and one running product down the rows)
 instead of ``n * k`` exponentials.  Only the verdict ``cost(candidate) <
 cost`` is ever used, and an accepted candidate is refitted from exact atoms,
@@ -35,10 +36,10 @@ GRID_OVERSAMPLE = 4
 """Zero-padding factor of the detection periodogram."""
 NEWTON_STEPS = 3
 """Newton iterations per single-atom refinement."""
-CYCLIC_ROUNDS = 3
+CYCLIC_ROUNDS = 1
 """Rounds of cyclic re-refinement over all atoms after each detection."""
 JOINT_ROUNDS = 40
-"""Cap on the final joint Gauss-Newton rounds."""
+"""Cap on the final joint damped Newton rounds."""
 
 
 def _atom(omega: float, n: int) -> np.ndarray:
@@ -151,41 +152,75 @@ def _exact_below(g: np.ndarray, cand: np.ndarray, c: np.ndarray,
     return float(np.linalg.norm(r) ** 2) < cost
 
 
+def _newton_system(g: np.ndarray, a: np.ndarray, coeffs: np.ndarray,
+                   resid: np.ndarray):
+    """Half the gradient and half the Hessian of ``|g - A(w) c|^2``.
+
+    The ``3k`` real parameters are ordered ``(Re c, Im c, w)``, and ``a``,
+    ``resid`` are ``A(w)`` and ``g - A(w) c``.  With ``J`` the Jacobian of
+    the model ``A(w) c``, the half Hessian is ``Re(J^H J) - Re<d2 m, r>``.
+    The second term is block-diagonal per atom: only the ``(w_i, w_i)``,
+    ``(w_i, Re c_i)`` and ``(w_i, Im c_i)`` entries are non-zero, so it
+    costs ``O(n k)``.
+    """
+    t = np.arange(g.size)
+    k = coeffs.size
+    datom = (1j * t)[:, None] * a * coeffs[None, :]
+    jac = np.hstack([a, 1j * a, datom])
+    jac = np.vstack([jac.real, jac.imag])
+    grad = -(jac.T @ np.concatenate([resid.real, resid.imag]))
+    hess = jac.T @ jac
+    # u = A^H (t r) and v = A^H (t^2 r), from one product with A
+    u, v = np.conj(np.stack([t * np.conj(resid), t * t * np.conj(resid)]) @ a)
+    re, im, w = np.arange(k), np.arange(k, 2 * k), np.arange(2 * k, 3 * k)
+    hess[w, w] += (np.conj(coeffs) * v).real
+    hess[w, re] -= u.imag
+    hess[re, w] -= u.imag
+    hess[w, im] += u.real
+    hess[im, w] += u.real
+    return grad, hess
+
+
 def _joint_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
                   coeffs: np.ndarray, resid: np.ndarray):
-    """Gauss-Newton over all (frequency, amplitude) pairs with line search.
+    """Damped Newton over all (frequency, amplitude) pairs.
 
     Starts from the caller's fit ``a, coeffs, resid = _fit_all(g, omegas)``
     and returns the refined frequencies, their fit and its residual energy.
+    Each round solves ``(H + mu diag H) d = -grad`` on the exact Hessian of
+    :func:`_newton_system`; ``mu`` drops tenfold after an accepted step and
+    grows tenfold after a rejected one.  A step is accepted only if it
+    strictly lowers the residual energy, and the accepted frequencies are
+    refitted, so the energy never increases.
     """
-    n = np.arange(g.size)
     k = omegas.size
     cost = float(np.linalg.norm(resid) ** 2)
     floor = 1e-28 * float(np.linalg.norm(g) ** 2)
+    mu = 1e-3
     for _ in range(JOINT_ROUNDS):
         if cost <= floor:
             break
         prev_cost = cost
-        datom = (1j * n)[:, None] * a * coeffs[None, :]
-        jac = np.hstack([a, 1j * a, datom])
-        jac = np.vstack([jac.real, jac.imag])
-        rhs = np.concatenate([resid.real, resid.imag])
-        upd, *_ = np.linalg.lstsq(jac, rhs, rcond=None)
-        d_coeffs = upd[:k] + 1j * upd[k:2 * k]
-        d_omegas = upd[2 * k:]
-        step = 1.0
+        grad, hess = _newton_system(g, a, coeffs, resid)
+        diag = np.diag(hess)
         for _ in range(20):
-            cand = (omegas + step * d_omegas) % (2.0 * np.pi)
-            c_cand = coeffs + step * d_coeffs
+            try:
+                upd = np.linalg.solve(hess + np.diag(mu * diag), -grad)
+            except np.linalg.LinAlgError:  # singular: damp harder
+                mu *= 10.0
+                continue
+            cand = (omegas + upd[2 * k:]) % (2.0 * np.pi)
+            c_cand = coeffs + upd[:k] + 1j * upd[k:2 * k]
             # Only the verdict is used: an accepted step is refitted below
             # from exact atoms, so a screened verdict changes no output.
             below = _screen_below(g, cand, c_cand, cost)
             if below is None:
                 below = _exact_below(g, cand, c_cand, cost)
             if below:
+                mu /= 10.0
                 omegas = cand
                 break
-            step /= 2.0
+            mu *= 10.0
         else:
             break
         a, coeffs, resid = _fit_all(g, omegas)
@@ -242,30 +277,13 @@ def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
     return omegas, coeffs
 
 
-def nomp(g: np.ndarray, k: int) -> LineSpectrum:
-    """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
+def _detect(g: np.ndarray, k: int):
+    """Detect up to ``k`` atoms greedily; returns ``omegas, a, coeffs, resid``.
 
-    ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
-    schedule is fixed: each detection picks the peak of a
-    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual and
-    refines it by ``NEWTON_STEPS`` guarded Newton steps, then
-    ``CYCLIC_ROUNDS`` rounds re-refine every atom in turn with a joint
-    amplitude refit after each round.  After the last detection
-    a joint Gauss-Newton pass of at most ``JOINT_ROUNDS`` rounds refines all
-    frequencies and amplitudes together, and half-bin neighbours are merged
-    where the refit loses no fit.
+    ``a, coeffs, resid`` is the least-squares fit of ``g`` on the atoms of
+    ``omegas``, as :func:`_fit_all` returns it.
     """
-    g = finite_samples(g)
     n = g.size
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n / 2:
-        raise ValueError("k may not exceed half the record length")
-
     omegas = np.zeros(0, dtype=float)
     coeffs = np.zeros(0, dtype=complex)
     resid = g.copy()
@@ -297,8 +315,33 @@ def nomp(g: np.ndarray, k: int) -> LineSpectrum:
         if merged_w.size < omegas.size:
             omegas = merged_w
             a, coeffs, resid = _fit_all(g, omegas)
-    omegas, coeffs, cost = _joint_refine(g, omegas, a, coeffs, resid)
-    omegas, coeffs = _merge_lossless(g, omegas, coeffs, cost, n)
+    return omegas, a, coeffs, resid
+
+
+def nomp(g: np.ndarray, k: int) -> LineSpectrum:
+    """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
+
+    ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
+    schedule is fixed: each detection picks the peak of a
+    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual and
+    refines it by ``NEWTON_STEPS`` guarded Newton steps, then one round
+    (``CYCLIC_ROUNDS``) re-refines every atom in turn, followed by a joint
+    amplitude refit.  After the last detection a joint damped Newton pass of
+    at most ``JOINT_ROUNDS`` rounds refines all frequencies and amplitudes
+    together on the exact Hessian, and half-bin neighbours are merged where
+    the refit loses no fit.
+    """
+    g = finite_samples(g)
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > g.size / 2:
+        raise ValueError("k may not exceed half the record length")
+    omegas, coeffs, cost = _joint_refine(g, *_detect(g, k))
+    omegas, coeffs = _merge_lossless(g, omegas, coeffs, cost, g.size)
     return LineSpectrum(omegas, coeffs)
 
 

@@ -62,11 +62,17 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
 
 def accept_if_improves(inst: QuadraticInstance, eps_hat: np.ndarray,
                        delta: np.ndarray) -> np.ndarray:
-    """Return ``eps_hat + delta`` only if it strictly lowers the exact objective."""
+    """Return ``eps_hat + delta`` only if it strictly lowers the exact objective.
+
+    A rejection returns ``eps_hat`` itself; an all-zero ``delta`` is rejected
+    without evaluating the objective.
+    """
     eps_hat = np.asarray(eps_hat, dtype=complex)
     delta = np.asarray(delta, dtype=complex)
     if eps_hat.shape != delta.shape:
         raise ValueError("length mismatch")
+    if not delta.any():
+        return eps_hat
     if exact_objective(inst, eps_hat + delta) < exact_objective(inst, eps_hat):
         return eps_hat + delta
     return eps_hat

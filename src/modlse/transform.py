@@ -71,9 +71,14 @@ def select_subset(n: int, gamma: float, beta: float) -> np.ndarray:
     With ``L = n - 1`` and ``Nb = L*beta``, the selected 0-based bins are
     ``floor(L/gamma + Nb) + 1 .. floor(L - Nb)`` inclusive, which excludes
     both the signal's spectral leakage and its wrap-around image.  ``beta``
-    must lie strictly inside :func:`beta_limits`.
+    must lie strictly inside :func:`beta_limits`, which must not be empty.
     """
     lo_beta, hi_beta = beta_limits(n, gamma)
+    if not lo_beta < hi_beta:
+        raise ValueError(
+            f"gamma={gamma} leaves no admissible beta at n={n}: the interval "
+            f"({lo_beta:.6g}, {hi_beta:.6g}) is empty; increase n or gamma"
+        )
     if not lo_beta < beta < hi_beta:
         raise ValueError(
             f"beta={beta} outside admissible interval ({lo_beta:.6g}, {hi_beta:.6g})"

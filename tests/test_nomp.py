@@ -16,9 +16,13 @@ from modlse.lse import (
     JOINT_ROUNDS,
     NEWTON_STEPS,
     _atom,
+    _atoms,
+    _detect,
     _exact_below,
     _fit_all,
+    _joint_refine,
     _merge_duplicates,
+    _newton_system,
     _screen_below,
     _screen_margin,
 )
@@ -126,10 +130,11 @@ class TestNomp:
         assert nomp(g, np.int64(2)).order == 2
 
 
-# The detection loop and refinements as they were before the joint line
-# search was screened, the Newton loop trimmed and the final fit handed from
-# the joint pass to the lossless merge; nomp must reproduce their output bit
-# for bit.
+# The detection loop as it was before the Newton loop was trimmed and the loop
+# was split out of nomp, and the joint Gauss-Newton pass that the damped
+# Newton pass replaced.  The detection loop must reproduce the reference bit
+# for bit; the joint pass must end with a residual energy no larger than the
+# Gauss-Newton pass reaches from the same start.
 def reference_newton_refine(omega, resid, steps):
     n = np.arange(resid.size)
     for _ in range(steps):
@@ -186,32 +191,10 @@ def reference_joint_refine(g, omegas):
         cost = float(np.linalg.norm(resid) ** 2)
         if prev_cost - cost <= 1e-12 * prev_cost:
             break
-    return omegas, coeffs
+    return omegas, coeffs, cost
 
 
-def reference_merge_lossless(g, omegas, coeffs, n):
-    tol = np.pi / n
-    _, coeffs, resid = _fit_all(g, omegas)
-    cost = float(np.linalg.norm(resid) ** 2)
-    scale = float(np.linalg.norm(g) ** 2)
-    while omegas.size > 1:
-        order = np.argsort(omegas)
-        gaps = np.diff(omegas[order])
-        tight = int(np.argmin(gaps))
-        if gaps[tight] >= tol:
-            break
-        i, j = order[tight], order[tight + 1]
-        drop = i if abs(coeffs[i]) < abs(coeffs[j]) else j
-        cand_w = np.delete(omegas, drop)
-        _, cand_c, cand_r = _fit_all(g, cand_w)
-        cand_cost = float(np.linalg.norm(cand_r) ** 2)
-        if cand_cost > cost + 1e-9 * scale:
-            break
-        omegas, coeffs, cost = cand_w, cand_c, cand_cost
-    return omegas, coeffs
-
-
-def reference_nomp(g, k):
+def reference_detect(g, k):
     g = np.asarray(g, dtype=complex)
     n = g.size
     omegas = np.zeros(0, dtype=float)
@@ -239,18 +222,21 @@ def reference_nomp(g, k):
         if merged_w.size < omegas.size:
             omegas = merged_w
             a, coeffs, resid = _fit_all(g, omegas)
-    omegas, coeffs = reference_joint_refine(g, omegas)
-    omegas, coeffs = reference_merge_lossless(g, omegas, coeffs, n)
-    return LineSpectrum(omegas, coeffs)
+    return omegas, a, coeffs, resid
 
 
 def assert_matches_reference(g, k):
-    est, ref = nomp(g, k), reference_nomp(g, k)
-    assert est.omegas.tobytes() == ref.omegas.tobytes()
-    assert est.coeffs.tobytes() == ref.coeffs.tobytes()
+    detected = _detect(g, k)
+    for got, want in zip(detected, reference_detect(g, k)):
+        assert got.tobytes() == want.tobytes()
+    _, _, cost = _joint_refine(g, *detected)
+    _, _, ref_cost = reference_joint_refine(g, detected[0])
+    assert cost <= ref_cost * (1.0 + 1e-12)
 
 
 class TestNompMatchesReference:
+    """Detection bit-equal to the reference, joint pass no worse than it."""
+
     @pytest.mark.parametrize("snr_db", [30.0, 14.0])
     def test_three_lines(self, snr_db):
         rng = np.random.default_rng(84)
@@ -274,6 +260,63 @@ class TestNompMatchesReference:
         x = synth_line_spectral(LineSpectrum(omegas, [1.0, 0.7j]), n)
         assert_matches_reference(x, 2)
         assert_matches_reference(add_noise(x, 25.0, rng), 2)
+
+
+class TestJointRefine:
+    @staticmethod
+    def cost(g, params, k):
+        c = params[:k] + 1j * params[k:2 * k]
+        return float(np.linalg.norm(g - _atoms(params[2 * k:], g.size) @ c) ** 2)
+
+    @staticmethod
+    def half_derivatives(g, params, k):
+        c = params[:k] + 1j * params[k:2 * k]
+        a = _atoms(params[2 * k:], g.size)
+        return _newton_system(g, a, c, g - a @ c)
+
+    @pytest.mark.parametrize("n,k", [(2, 1), (24, 3), (64, 5)])
+    def test_derivatives_match_central_differences(self, n, k):
+        # away from the least-squares fit, so that every term counts
+        rng = np.random.default_rng(89)
+        g = rng.normal(size=n) + 1j * rng.normal(size=n)
+        params = np.concatenate([rng.normal(size=2 * k),
+                                 rng.uniform(0.0, 2.0 * np.pi, k)])
+        grad, hess = self.half_derivatives(g, params, k)
+        h = 1e-6
+        steps = h * np.eye(3 * k)
+        fd_grad = np.array([self.cost(g, params + e, k) - self.cost(g, params - e, k)
+                            for e in steps]) / (4.0 * h)
+        fd_hess = np.array([self.half_derivatives(g, params + e, k)[0]
+                            - self.half_derivatives(g, params - e, k)[0]
+                            for e in steps]) / (2.0 * h)
+        assert np.max(np.abs(fd_grad - grad)) <= 1e-6 * np.max(np.abs(grad))
+        assert np.max(np.abs(fd_hess - hess)) <= 1e-6 * np.max(np.abs(hess))
+        np.testing.assert_allclose(hess, hess.T, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(hess)))
+
+    def test_cost_never_increases_across_rounds(self, monkeypatch):
+        from modlse import lse
+
+        rng = np.random.default_rng(90)
+        scenes = [(add_noise(gen_bandlimited(200, 10.0, rng), 30.0, rng), 20)]
+        for snr_db in (30.0, 5.0):
+            spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 256)
+            scenes.append((add_noise(synth_line_spectral(spec, 256), snr_db, rng), 3))
+        for g, k in scenes:
+            omegas, a, coeffs, resid = _detect(g, k)
+            costs = [float(np.linalg.norm(resid) ** 2)]
+
+            def recorded(g, omegas):
+                fit = _fit_all(g, omegas)
+                costs.append(float(np.linalg.norm(fit[2]) ** 2))
+                return fit
+
+            monkeypatch.setattr(lse, "_fit_all", recorded)
+            _, _, cost = _joint_refine(g, omegas, a, coeffs, resid)
+            monkeypatch.undo()
+            assert len(costs) > 2
+            assert cost == costs[-1]
+            assert np.all(np.diff(costs) <= 0.0)
 
 
 class TestScreen:

@@ -120,3 +120,25 @@ class TestAcceptIfImproves:
         bad[0] = 5.0
         out = accept_if_improves(inst, eps_true, bad)
         np.testing.assert_array_equal(out, eps_true)
+
+    def test_zero_delta_skips_objective(self, monkeypatch):
+        # a zero delta is rejected as the input object itself, without
+        # evaluating the objective; any other delta costs two evaluations
+        from modlse import omp
+
+        calls = []
+
+        def counted(inst, eps):
+            calls.append(1)
+            return exact_objective(inst, eps)
+
+        monkeypatch.setattr(omp, "exact_objective", counted)
+        rng = np.random.default_rng(77)
+        inst, eps_true = planted_instance(rng)
+        assert accept_if_improves(inst, eps_true,
+                                  np.zeros(inst.n_vars, dtype=complex)) is eps_true
+        assert calls == []
+        bad = np.zeros(inst.n_vars, dtype=complex)
+        bad[0] = 5.0
+        assert accept_if_improves(inst, eps_true, bad) is eps_true
+        assert len(calls) == 2

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -133,7 +135,9 @@ class TestSelectSubset:
     def test_gamma_just_above_one_rejected(self, n, gamma):
         # the signal band covers every bin, so no guard band is left
         lo, hi = beta_limits(n, gamma)
-        with pytest.raises(ValueError, match="outside admissible interval"):
+        assert hi < lo
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma={gamma} leaves no admissible beta at n={n}")):
             select_subset(n, gamma, 0.5 * (lo + hi))
         with pytest.raises(ValueError, match="no guard band"):
             select_subset_tail(n, gamma)
