@@ -9,15 +9,11 @@ appears when two atoms sit within a Rayleigh width of each other.  Every
 refinement step is guarded, by step halving in detection and by heavier
 damping in the joint pass, so the residual energy never increases.
 
-The joint pass screens each damped candidate before paying for its exact
-residual: the atoms of the candidate frequencies are formed as phasor
-powers (``k`` complex exponentials and one running product down the rows)
-instead of ``n * k`` exponentials.  Only the verdict ``cost(candidate) <
-cost`` is ever used, and an accepted candidate is refitted from exact atoms,
-so the screen changes no output as long as its verdict is the exact one.
-It returns a verdict only when the screened cost clears ``cost`` by a margin
-that bounds the difference between the two evaluations (see
-:func:`_screen_margin`); closer calls fall back to the exact residual.
+The joint pass carries its own fit from round to round: an accepted
+candidate's frequencies, amplitudes, phasor-power atoms and residual are the
+next iterate, with no least-squares refit in between.  Only its result is
+refitted once on exact atoms, and kept if that fit strictly improves on the
+detection's.
 """
 
 from __future__ import annotations
@@ -49,6 +45,22 @@ def _atom(omega: float, n: int) -> np.ndarray:
 def _atoms(omegas: np.ndarray, n: int) -> np.ndarray:
     """Atom matrix; column ``i`` equals ``_atom(omegas[i], n)`` bit for bit."""
     return np.exp(1j * np.outer(np.arange(n), omegas))
+
+
+def _phasor_atoms(omegas: np.ndarray, n: int) -> np.ndarray:
+    """Atom matrix from phasor powers, for iterates of the joint pass.
+
+    ``k`` complex exponentials and one running product down the rows replace
+    the ``n * k`` exponentials of :func:`_atoms`.  Entry ``t`` is within
+    ``(2 + 2 sqrt 2) t u`` of ``exp(i t w)`` (unit roundoff ``u``), and the
+    entry of :func:`_atoms` within ``2 pi t u + 2u``, from rounding ``t w``;
+    the two differ by less than ``16 (t + 1) u``.
+    """
+    a = np.empty((n, omegas.size), dtype=complex)
+    a[0] = 1.0
+    a[1:] = np.exp(1j * omegas)
+    np.multiply.accumulate(a, axis=0, out=a)
+    return a
 
 
 def _fit(g: np.ndarray, a: np.ndarray):
@@ -94,66 +106,7 @@ def _newton_refine(omega: float, resid: np.ndarray, steps: int) -> float:
     return omega
 
 
-_UNIT_ROUNDOFF = np.finfo(float).eps / 2.0
-
-
-def _screen_margin(n: int, bound: float) -> float:
-    """Bound on the gap between the screened and the exact candidate cost.
-
-    ``bound`` is ``|g| + sqrt(n) |c|_1``, which bounds both residual norms
-    because every atom entry has unit modulus.  With unit roundoff ``u``,
-    entry ``t`` of a screened atom is within ``(2 + 2 sqrt 2) t u`` of
-    ``exp(i t w)``: ``exp(i w)`` is within ``2u`` and each of the ``t``
-    complex products adds at most ``2 sqrt 2 u``.  The exact atom is within
-    ``2 pi t u + 2u``, from rounding the argument ``t w`` (``w < 2 pi``) and
-    from the exponential.  So the atoms differ by at most ``13.2 t u``, and
-    the products ``A c`` by at most ``13.2 u |c|_1 (n^3/3)^(1/2) <= 7.7 n u
-    sqrt(n) |c|_1`` in norm.  Rounding in the two matrix-vector products
-    (``k <= n/2`` terms a row) and the two subtractions from ``g`` adds
-    ``(1.5 n + 8) u bound``, and each squared norm is computed within
-    ``(n + 5) u bound^2``.  The costs thus differ by less than
-    ``2 (9.2 n + 8) u bound^2 + 2 (n + 5) u bound^2 = (20.4 n + 26) u
-    bound^2``, and the margin's factor ``32 (n + 1)`` leaves room for the
-    second-order terms and the rounding of ``cost +- margin``.
-    """
-    return 32.0 * (n + 1) * _UNIT_ROUNDOFF * bound ** 2
-
-
-def _screen_below(g: np.ndarray, cand: np.ndarray, c: np.ndarray,
-                  cost: float) -> bool | None:
-    """Whether ``|g - A(cand) c|^2 < cost``, or None when too close to call.
-
-    ``A(cand)`` is formed from phasor powers: ``k`` complex exponentials and
-    one running product down the rows, instead of the ``n * k`` exponentials
-    of :func:`_atoms`.  A verdict is returned only when the screened cost
-    clears ``cost`` by :func:`_screen_margin`, so it always equals the
-    verdict of :func:`_exact_below`.
-    """
-    n = g.size
-    powers = np.empty((n, cand.size), dtype=complex)
-    powers[0] = 1.0
-    powers[1:] = np.exp(1j * cand)
-    np.multiply.accumulate(powers, axis=0, out=powers)
-    r = g - powers @ c
-    screened = float(np.vdot(r, r).real)
-    bound = float(np.linalg.norm(g)) + np.sqrt(n) * float(np.sum(np.abs(c)))
-    margin = _screen_margin(n, bound)
-    if screened < cost - margin:
-        return True
-    if screened > cost + margin:
-        return False
-    return None
-
-
-def _exact_below(g: np.ndarray, cand: np.ndarray, c: np.ndarray,
-                 cost: float) -> bool:
-    """Whether ``|g - A(cand) c|^2 < cost``, with the atoms of :func:`_atoms`."""
-    r = g - _atoms(cand, g.size) @ c
-    return float(np.linalg.norm(r) ** 2) < cost
-
-
-def _newton_system(g: np.ndarray, a: np.ndarray, coeffs: np.ndarray,
-                   resid: np.ndarray):
+def _newton_system(a: np.ndarray, coeffs: np.ndarray, resid: np.ndarray):
     """Half the gradient and half the Hessian of ``|g - A(w) c|^2``.
 
     The ``3k`` real parameters are ordered ``(Re c, Im c, w)``, and ``a``,
@@ -163,11 +116,16 @@ def _newton_system(g: np.ndarray, a: np.ndarray, coeffs: np.ndarray,
     ``(w_i, Re c_i)`` and ``(w_i, Im c_i)`` entries are non-zero, so it
     costs ``O(n k)``.
     """
-    t = np.arange(g.size)
-    k = coeffs.size
+    n, k = a.shape
+    t = np.arange(n)
     datom = (1j * t)[:, None] * a * coeffs[None, :]
-    jac = np.hstack([a, 1j * a, datom])
-    jac = np.vstack([jac.real, jac.imag])
+    # rows: real, then imaginary parts; columns: the model's derivatives
+    # along Re c (A), Im c (iA) and w
+    jac = np.empty((2, n, 3, k))
+    jac[0, :, 0], jac[1, :, 0] = a.real, a.imag
+    jac[0, :, 1], jac[1, :, 1] = -a.imag, a.real
+    jac[0, :, 2], jac[1, :, 2] = datom.real, datom.imag
+    jac = jac.reshape(2 * n, 3 * k)
     grad = -(jac.T @ np.concatenate([resid.real, resid.imag]))
     hess = jac.T @ jac
     # u = A^H (t r) and v = A^H (t^2 r), from one product with A
@@ -188,20 +146,23 @@ def _joint_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
     Starts from the caller's fit ``a, coeffs, resid = _fit_all(g, omegas)``
     and returns the refined frequencies, their fit and its residual energy.
     Each round solves ``(H + mu diag H) d = -grad`` on the exact Hessian of
-    :func:`_newton_system`; ``mu`` drops tenfold after an accepted step and
+    :func:`_newton_system`; ``mu`` drops threefold after an accepted step and
     grows tenfold after a rejected one.  A step is accepted only if it
-    strictly lowers the residual energy, and the accepted frequencies are
-    refitted, so the energy never increases.
+    strictly lowers the residual energy of the carried fit, and the accepted
+    candidate (frequencies, its own amplitudes, phasor-power atoms and
+    residual) is the next iterate.  After the last round the frequencies are
+    refitted once by :func:`_fit_all`; that fit is returned only if its
+    energy is strictly below the detection's, else the detection fit is
+    returned unchanged, so the energy never increases.
     """
-    k = omegas.size
-    cost = float(np.linalg.norm(resid) ** 2)
+    n, k = g.size, omegas.size
+    start_cost = cost = float(np.linalg.norm(resid) ** 2)
     floor = 1e-28 * float(np.linalg.norm(g) ** 2)
-    mu = 1e-3
+    w, c, mu = omegas, coeffs, 1e-3
     for _ in range(JOINT_ROUNDS):
         if cost <= floor:
             break
-        prev_cost = cost
-        grad, hess = _newton_system(g, a, coeffs, resid)
+        grad, hess = _newton_system(a, c, resid)
         diag = np.diag(hess)
         for _ in range(20):
             try:
@@ -209,25 +170,27 @@ def _joint_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
             except np.linalg.LinAlgError:  # singular: damp harder
                 mu *= 10.0
                 continue
-            cand = (omegas + upd[2 * k:]) % (2.0 * np.pi)
-            c_cand = coeffs + upd[:k] + 1j * upd[k:2 * k]
-            # Only the verdict is used: an accepted step is refitted below
-            # from exact atoms, so a screened verdict changes no output.
-            below = _screen_below(g, cand, c_cand, cost)
-            if below is None:
-                below = _exact_below(g, cand, c_cand, cost)
-            if below:
-                mu /= 10.0
-                omegas = cand
+            cand = (w + upd[2 * k:]) % (2.0 * np.pi)
+            c_cand = c + upd[:k] + 1j * upd[k:2 * k]
+            a_cand = _phasor_atoms(cand, n)
+            r_cand = g - a_cand @ c_cand
+            cand_cost = float(np.linalg.norm(r_cand) ** 2)
+            if cand_cost < cost:
+                mu /= 3.0
                 break
             mu *= 10.0
         else:
             break
-        a, coeffs, resid = _fit_all(g, omegas)
-        cost = float(np.linalg.norm(resid) ** 2)
+        prev_cost = cost
+        w, c, a, resid, cost = cand, c_cand, a_cand, r_cand, cand_cost
         if prev_cost - cost <= 1e-12 * prev_cost:
             break
-    return omegas, coeffs, cost
+    if w is not omegas:  # a step was accepted
+        _, c, resid = _fit_all(g, w)
+        cost = float(np.linalg.norm(resid) ** 2)
+        if cost < start_cost:
+            return w, c, cost
+    return omegas, coeffs, start_cost
 
 
 def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int):
@@ -328,8 +291,10 @@ def nomp(g: np.ndarray, k: int) -> LineSpectrum:
     (``CYCLIC_ROUNDS``) re-refines every atom in turn, followed by a joint
     amplitude refit.  After the last detection a joint damped Newton pass of
     at most ``JOINT_ROUNDS`` rounds refines all frequencies and amplitudes
-    together on the exact Hessian, and half-bin neighbours are merged where
-    the refit loses no fit.
+    together on the exact Hessian, carrying its own fit from round to round
+    (damping divided by 3 after an accepted step, times 10 after a rejected
+    one) and refitting once at the end; half-bin neighbours are then merged
+    where the refit loses no fit.
     """
     g = finite_samples(g)
     try:
