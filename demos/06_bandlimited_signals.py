@@ -12,6 +12,7 @@ import numpy as np
 from modlse import (
     PipelineConfig,
     add_noise,
+    bandlimited_bins,
     gen_bandlimited,
     modulo_sample,
     nmse,
@@ -26,7 +27,7 @@ rng = np.random.default_rng(6)
 n, gamma, lam, snr_db = 400, 10.0, 0.7, 30.0
 
 x = gen_bandlimited(n, gamma, rng)
-active = int(np.floor(n / gamma))
+active = bandlimited_bins(n, gamma)
 print(f"bandlimited draw: {active} active bins, unit RMS, peak |Re| = "
       f"{np.abs(x.real).max():.2f} vs lam = {lam}")
 

@@ -55,6 +55,7 @@ from .signals import (
     LineSpectrum,
     SamplingConfig,
     add_noise,
+    bandlimited_bins,
     centered_modulo,
     gen_bandlimited,
     gen_random_spectrum,
@@ -94,6 +95,7 @@ __all__ = [
     "PropertyReport",
     "synth_line_spectral",
     "gen_random_spectrum",
+    "bandlimited_bins",
     "gen_bandlimited",
     "add_noise",
     "centered_modulo",

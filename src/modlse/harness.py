@@ -34,6 +34,7 @@ from .pipeline import (
 from .signals import (
     SamplingConfig,
     add_noise,
+    bandlimited_bins,
     gen_bandlimited,
     gen_random_spectrum,
     modulo_sample,
@@ -128,7 +129,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     noise-free signal, after resolving the folding-count constant against
     ground truth.  Bandlimited scenes are scored through the same spectral
     fit with the model order set to the number of active bins
-    (``floor(n / gamma)``).  Solver budget violations (:class:`BudgetExceeded`)
+    (:func:`bandlimited_bins`).  Solver budget violations (:class:`BudgetExceeded`)
     come back as ``failed`` trials rather than aborting the batch; any other
     error propagates.
     """
@@ -136,7 +137,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     samp = cfg.sampling
     if cfg.scenario == "bandlimited_sweep":
         x = gen_bandlimited(samp.n, samp.gamma, rng)
-        k_model = int(np.floor(samp.n / samp.gamma))
+        k_model = bandlimited_bins(samp.n, samp.gamma)
     else:
         spectrum = gen_random_spectrum(samp.k, samp.gamma, rng,
                                        min_separation=2.0 * np.pi / samp.n)

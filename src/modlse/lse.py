@@ -1,13 +1,13 @@
 """Newton-refined greedy line spectral estimation with a known model order.
 
-Detection alternates an oversampled-periodogram peak pick with Newton ascent
-on the single-sinusoid fit, followed by one round of cyclic per-atom
-re-refinement and a joint least-squares amplitude refit.  A final joint
-damped Newton pass over all frequencies and amplitudes, on the exact Hessian
-of the residual energy, removes the slow coordinate-descent tail that
-appears when two atoms sit within a Rayleigh width of each other.  Every
-refinement step is guarded, by step halving in detection and by heavier
-damping in the joint pass, so the residual energy never increases.
+Each detection picks the peak of an oversampled periodogram of the residual,
+refines that one frequency by Newton ascent on the single-sinusoid fit, and
+refits all amplitudes jointly by least squares.  A final joint damped Newton
+pass over all frequencies and amplitudes, on the exact Hessian of the
+residual energy, then refines every atom together, including pairs within a
+Rayleigh width of each other.  Every refinement step is guarded, by step
+halving in detection and by heavier damping in the joint pass, so the
+residual energy never increases.
 
 The joint pass carries its own fit from round to round: an accepted
 candidate's frequencies, amplitudes, phasor-power atoms and residual are the
@@ -32,18 +32,12 @@ GRID_OVERSAMPLE = 4
 """Zero-padding factor of the detection periodogram."""
 NEWTON_STEPS = 3
 """Newton iterations per single-atom refinement."""
-CYCLIC_ROUNDS = 1
-"""Rounds of cyclic re-refinement over all atoms after each detection."""
 JOINT_ROUNDS = 40
 """Cap on the final joint damped Newton rounds."""
 
 
-def _atom(omega: float, n: int) -> np.ndarray:
-    return np.exp(1j * omega * np.arange(n))
-
-
 def _atoms(omegas: np.ndarray, n: int) -> np.ndarray:
-    """Atom matrix; column ``i`` equals ``_atom(omegas[i], n)`` bit for bit."""
+    """Atom matrix; column ``i`` is ``exp(1j * omegas[i] * t)``, ``t < n``."""
     return np.exp(1j * np.outer(np.arange(n), omegas))
 
 
@@ -63,14 +57,11 @@ def _phasor_atoms(omegas: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _fit(g: np.ndarray, a: np.ndarray):
-    coeffs, *_ = np.linalg.lstsq(a, g, rcond=None)
-    return coeffs, g - a @ coeffs
-
-
 def _fit_all(g: np.ndarray, omegas: np.ndarray):
+    """Least-squares fit of ``g`` on the atoms of ``omegas``: ``a, coeffs, resid``."""
     a = _atoms(omegas, g.size)
-    return (a, *_fit(g, a))
+    coeffs, *_ = np.linalg.lstsq(a, g, rcond=None)
+    return a, coeffs, g - a @ coeffs
 
 
 def _newton_refine(omega: float, resid: np.ndarray, steps: int) -> float:
@@ -248,7 +239,6 @@ def _detect(g: np.ndarray, k: int):
     """
     n = g.size
     omegas = np.zeros(0, dtype=float)
-    coeffs = np.zeros(0, dtype=complex)
     resid = g.copy()
     grid = GRID_OVERSAMPLE * n
     # A detection that collapses onto an existing atom is merged away and the
@@ -262,18 +252,10 @@ def _detect(g: np.ndarray, k: int):
         omega = _newton_refine(2.0 * np.pi * peak / grid, resid, NEWTON_STEPS)
         omegas = np.append(omegas, omega)
         a, coeffs, resid = _fit_all(g, omegas)
-        for _ in range(CYCLIC_ROUNDS):
-            for i in range(omegas.size):
-                single = resid + a[:, i] * coeffs[i]
-                omegas[i] = _newton_refine(omegas[i], single, NEWTON_STEPS)
-                a[:, i] = _atom(omegas[i], n)
-                coeffs[i] = np.dot(np.conj(a[:, i]), single) / n
-                resid = single - a[:, i] * coeffs[i]
-            # every column of ``a`` now holds the atom of its refined omega
-            coeffs, resid = _fit(g, a)
         # Mid-loop, collapse only true duplicates (a wasted detection lands
         # nearly on top of an existing atom); estimates of distinct close
-        # components are still settling and must not be chained together.
+        # components settle only in the joint pass and must not be chained
+        # together.
         merged_w, _ = _merge_duplicates(omegas, coeffs, n)
         if merged_w.size < omegas.size:
             omegas = merged_w
@@ -281,30 +263,38 @@ def _detect(g: np.ndarray, k: int):
     return omegas, a, coeffs, resid
 
 
-def nomp(g: np.ndarray, k: int) -> LineSpectrum:
-    """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
+def checked_order(k, n: int) -> int:
+    """Return the model order ``k`` as an ``int`` for a record of ``n`` samples.
 
-    ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
-    schedule is fixed: each detection picks the peak of a
-    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual and
-    refines it by ``NEWTON_STEPS`` guarded Newton steps, then one round
-    (``CYCLIC_ROUNDS``) re-refines every atom in turn, followed by a joint
-    amplitude refit.  After the last detection a joint damped Newton pass of
-    at most ``JOINT_ROUNDS`` rounds refines all frequencies and amplitudes
-    together on the exact Hessian, carrying its own fit from round to round
-    (damping divided by 3 after an accepted step, times 10 after a rejected
-    one) and refitting once at the end; half-bin neighbours are then merged
-    where the refit loses no fit.
+    Raises ``ValueError`` unless ``k`` is an integer from 1 to ``n / 2``.
     """
-    g = finite_samples(g)
     try:
         k = operator.index(k)
     except TypeError:
         raise ValueError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise ValueError("k must be >= 1")
-    if k > g.size / 2:
+    if k > n / 2:
         raise ValueError("k may not exceed half the record length")
+    return k
+
+
+def nomp(g: np.ndarray, k: int) -> LineSpectrum:
+    """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
+
+    ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
+    schedule is fixed: each detection picks the peak of a
+    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual,
+    refines only that new frequency by ``NEWTON_STEPS`` guarded Newton steps
+    and refits all amplitudes jointly.  After the last detection a joint
+    damped Newton pass of at most ``JOINT_ROUNDS`` rounds refines all
+    frequencies and amplitudes together on the exact Hessian, carrying its
+    own fit from round to round (damping divided by 3 after an accepted step,
+    times 10 after a rejected one) and refitting once at the end; half-bin
+    neighbours are then merged where the refit loses no fit.
+    """
+    g = finite_samples(g)
+    k = checked_order(k, g.size)
     omegas, coeffs, cost = _joint_refine(g, *_detect(g, k))
     omegas, coeffs = _merge_lossless(g, omegas, coeffs, cost, g.size)
     return LineSpectrum(omegas, coeffs)

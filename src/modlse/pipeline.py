@@ -21,7 +21,7 @@ import numpy as np
 
 from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
-from .lse import nomp
+from .lse import checked_order, nomp
 from .omp import accept_if_improves, omp_refine
 from .signals import LineSpectrum, check_lam_gamma, finite_samples, residual_decompose
 from .transform import (
@@ -203,11 +203,13 @@ def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
 
     Serves every entry of ``METHODS``.  The additive constant is always
     removed blind (rounded median), the only option on real data; ``usalg``
-    picks its difference order from ``y`` for the same reason.
+    picks its difference order from ``y`` for the same reason.  A bad
+    model order ``k`` is rejected before stage one runs.
     """
     if cfg is None:
         cfg = PipelineConfig()
     y = _checked_input(y, lam, gamma)
+    k = checked_order(k, y.size)
     trace, dp_rejected, omp_rejected = [], 0, 0
     if _method(method).usalg:
         eps = residual_decompose(usalg(y, lam, select_usalg_order(y)), y, lam)

@@ -17,6 +17,7 @@ __all__ = [
     "SamplingConfig",
     "synth_line_spectral",
     "gen_random_spectrum",
+    "bandlimited_bins",
     "gen_bandlimited",
     "add_noise",
     "centered_modulo",
@@ -134,19 +135,28 @@ def gen_random_spectrum(k: int, gamma: float, rng: np.random.Generator,
     return LineSpectrum(omegas, mags * np.exp(1j * phases))
 
 
+def bandlimited_bins(n: int, gamma: float) -> int:
+    """Number of active DFT bins of a length-``n`` bandlimited signal.
+
+    The band covers bins ``1..floor(n/gamma)``, clipped below the Nyquist
+    bin: ``min(floor(n/gamma), (n-1)//2)``.  It is the model order of a
+    bandlimited scene.
+    """
+    return min(int(np.floor(n / gamma)), (n - 1) // 2)
+
+
 def gen_bandlimited(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
     """Generate a complex signal whose spectrum occupies only low positive bins.
 
     A real bandlimited signal is drawn first (Hermitian-symmetric random DFT
-    coefficients on bins ``|m| <= floor(n/gamma)``), its non-positive
-    frequency half is then zeroed, and the result is transformed back.  The
-    output is normalized to unit per-sample RMS and its DFT magnitude is
-    supported on bins ``1..floor(n/gamma)`` only (clipped below the Nyquist
-    bin when ``gamma <= 2``).
+    coefficients on bins ``|m| <= bandlimited_bins(n, gamma)``), its
+    non-positive frequency half is then zeroed, and the result is transformed
+    back.  The output is normalized to unit per-sample RMS and its DFT
+    magnitude is supported on bins ``1..bandlimited_bins(n, gamma)`` only.
     """
     if n < 4:
         raise ValueError("n must be >= 4")
-    b = int(np.floor(n / gamma))
+    b = bandlimited_bins(n, gamma)
     if b < 1:
         raise ValueError("band is empty; decrease gamma")
     spec = np.zeros(n, dtype=complex)
@@ -157,9 +167,7 @@ def gen_bandlimited(n: int, gamma: float, rng: np.random.Generator) -> np.ndarra
     real_bl = np.fft.ifft(spec) * np.sqrt(n)
     half = np.fft.fft(real_bl) / np.sqrt(n)
     half[0] = 0.0
-    half[n // 2 + 1 if n % 2 == 0 else (n + 1) // 2:] = 0.0
-    if n % 2 == 0:
-        half[n // 2] = 0.0
+    half[(n + 1) // 2:] = 0.0
     x = np.fft.ifft(half) * np.sqrt(n)
     rms = np.sqrt(np.mean(np.abs(x) ** 2))
     if rms == 0.0:

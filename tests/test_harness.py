@@ -105,6 +105,18 @@ class TestRunSweep:
             assert 0.0 <= pt.success_rate <= 1.0
             assert len(pt.results) == 3
 
+    def test_wide_band_bandlimited_sweep_runs(self):
+        # at gamma = 1.5 the band reaches the Nyquist bin, so the model order
+        # is clipped to (n - 1) // 2 atoms instead of floor(n / gamma)
+        cfg = small_config(scenario="bandlimited_sweep", snr_grid=(30.0,),
+                           trials=2,
+                           sampling=SamplingConfig(n=64, gamma=1.5, lam=0.5,
+                                                   k=2, snr_db=30.0, seed=42))
+        point = run_sweep(cfg)[0]
+        assert point.trials == 2
+        assert point.failed == 0
+        assert np.isfinite(point.mean_nmse_db)
+
     def test_failed_trials_left_out_of_mean(self, tmp_path):
         # every trial blows the enumeration budget: no NMSE to average
         cfg = small_config(scenario="snr_sweep", snr_grid=(30.0,), trials=2,

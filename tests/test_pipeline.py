@@ -214,6 +214,23 @@ class TestFullPipeline:
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SamplingConfig(lam=lam, gamma=gamma)
 
+    @pytest.mark.parametrize("k,message", [
+        (0, "k must be >= 1"),
+        (300, "k may not exceed half the record length"),
+        (2.5, "k must be an integer, got 2.5"),
+    ])
+    @pytest.mark.parametrize("method", ["dp_omp_iter", "usalg"])
+    def test_rejects_bad_order_before_stage_one(self, method, k, message,
+                                                monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("stage one ran on a bad model order")
+
+        monkeypatch.setattr(pipeline, "recover_residual", unreachable)
+        monkeypatch.setattr(pipeline, "usalg", unreachable)
+        y = modulo_sample(synth_line_spectral(LineSpectrum([0.3], [0.5]), 512), 0.4)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            recover_line_spectrum(y, k, 10.0, 0.4, method=method)
+
     @pytest.mark.parametrize("method", sorted(METHODS))
     def test_every_method_end_to_end(self, method):
         rng = np.random.default_rng(109)

@@ -4,6 +4,7 @@ import pytest
 from modlse import (
     LineSpectrum,
     add_noise,
+    bandlimited_bins,
     centered_modulo,
     gen_bandlimited,
     gen_random_spectrum,
@@ -88,6 +89,17 @@ class TestBandlimited:
         peak = mag.max()
         outside = np.concatenate([mag[:1], mag[band + 1:]])
         assert np.max(outside) < 1e-9 * peak
+
+    @pytest.mark.parametrize("n", [64, 65, 200, 201])
+    @pytest.mark.parametrize("gamma", [1.5, 2.0, 10.0])
+    def test_active_bins_follow_the_rule(self, n, gamma):
+        # the band stops below the Nyquist bin however wide gamma makes it
+        x = gen_bandlimited(n, gamma, np.random.default_rng(5))
+        mag = np.abs(np.fft.fft(x))
+        active = np.flatnonzero(mag > 1e-9 * mag.max())
+        bins = bandlimited_bins(n, gamma)
+        assert bins == min(int(np.floor(n / gamma)), (n - 1) // 2)
+        np.testing.assert_array_equal(active, np.arange(1, bins + 1))
 
     def test_degenerate_single_bin(self):
         rng = np.random.default_rng(4)
