@@ -1,13 +1,11 @@
 """Newton-refined greedy line spectral estimation with a known model order.
 
-Each detection picks the peak of an oversampled periodogram of the residual,
-refines that one frequency by Newton ascent on the single-sinusoid fit, and
-refits all amplitudes jointly by least squares.  A final joint damped Newton
-pass over all frequencies and amplitudes, on the exact Hessian of the
+Each detection picks the peak of an oversampled periodogram of the residual
+and refits all amplitudes jointly by least squares.  A final joint damped
+Newton pass over all frequencies and amplitudes, on the exact Hessian of the
 residual energy, then refines every atom together, including pairs within a
-Rayleigh width of each other.  Every refinement step is guarded, by step
-halving in detection and by heavier damping in the joint pass, so the
-residual energy never increases.
+Rayleigh width of each other.  Its steps are guarded by heavier damping, so
+the residual energy never increases.
 
 The joint pass carries its own fit from round to round: an accepted
 candidate's frequencies, amplitudes, phasor-power atoms and residual are the
@@ -18,20 +16,16 @@ detection's.
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
 
-from .signals import LineSpectrum, finite_samples
+from .signals import LineSpectrum, checked_order, finite_samples
 
 __all__ = ["nomp", "nmse"]
 
 NMSE_FLOOR_DB = -300.0
 
-GRID_OVERSAMPLE = 4
+GRID_OVERSAMPLE = 16
 """Zero-padding factor of the detection periodogram."""
-NEWTON_STEPS = 3
-"""Newton iterations per single-atom refinement."""
 JOINT_ROUNDS = 40
 """Cap on the final joint damped Newton rounds."""
 
@@ -62,39 +56,6 @@ def _fit_all(g: np.ndarray, omegas: np.ndarray):
     a = _atoms(omegas, g.size)
     coeffs, *_ = np.linalg.lstsq(a, g, rcond=None)
     return a, coeffs, g - a @ coeffs
-
-
-def _newton_refine(omega: float, resid: np.ndarray, steps: int) -> float:
-    """Ascend ``|a(omega)^H r|^2`` by guarded Newton steps.
-
-    Falls back to step halving whenever a full step would lower the single
-    atom gain, and stops early if the local curvature is not concave.
-    """
-    n = np.arange(resid.size)
-    d1_weighted = -1j * n * resid
-    d2_weighted = -(n ** 2) * resid
-    phase = np.exp(-1j * omega * n)
-    for _ in range(steps):
-        s = complex(np.dot(resid, phase))
-        s1 = complex(np.dot(d1_weighted, phase))
-        s2 = complex(np.dot(d2_weighted, phase))
-        gain = abs(s) ** 2
-        d1 = 2.0 * (s.conjugate() * s1).real
-        d2 = 2.0 * (s.conjugate() * s2).real + 2.0 * abs(s1) ** 2
-        if d2 >= 0.0:
-            break
-        step = -d1 / d2
-        for _ in range(10):
-            cand = (omega + step) % (2.0 * np.pi)
-            # an accepted candidate's phase is the next step's phase
-            phase = np.exp(-1j * cand * n)
-            if abs(complex(np.dot(resid, phase))) ** 2 >= gain:
-                omega = cand
-                break
-            step /= 2.0
-        else:
-            break
-    return omega
 
 
 def _newton_system(a: np.ndarray, coeffs: np.ndarray, resid: np.ndarray):
@@ -184,24 +145,6 @@ def _joint_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
     return omegas, coeffs, start_cost
 
 
-def _merge_duplicates(omegas: np.ndarray, coeffs: np.ndarray, n: int):
-    """Collapse estimates closer than a tenth of a DFT bin; amplitudes add up."""
-    tol = 0.1 * 2.0 * np.pi / n
-    order = np.argsort(omegas)
-    out_w: list[float] = []
-    out_c: list[complex] = []
-    for idx in order:
-        if out_w and abs(omegas[idx] - out_w[-1]) < tol:
-            keep = idx if abs(coeffs[idx]) > abs(out_c[-1]) else None
-            out_c[-1] += coeffs[idx]
-            if keep is not None:
-                out_w[-1] = omegas[idx]
-        else:
-            out_w.append(float(omegas[idx]))
-            out_c.append(complex(coeffs[idx]))
-    return np.array(out_w), np.array(out_c)
-
-
 def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
                     cost: float, n: int):
     """Merge half-bin neighbours only when the refit shows no fit loss.
@@ -232,61 +175,33 @@ def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
 
 
 def _detect(g: np.ndarray, k: int):
-    """Detect up to ``k`` atoms greedily; returns ``omegas, a, coeffs, resid``.
+    """Detect ``k`` atoms greedily; returns ``omegas, a, coeffs, resid``.
 
-    ``a, coeffs, resid`` is the least-squares fit of ``g`` on the atoms of
-    ``omegas``, as :func:`_fit_all` returns it.
+    Each detection is the peak of a ``GRID_OVERSAMPLE``-times zero-padded
+    periodogram of the residual, and ``a, coeffs, resid`` is the
+    least-squares fit of ``g`` on the atoms of ``omegas``, as
+    :func:`_fit_all` returns it.  The residual is orthogonal to every fitted
+    atom, so a grid point already picked can win again only when the
+    residual is at rounding level; the repeats then share one amplitude and
+    :func:`_merge_lossless` folds them back into one atom.
     """
-    n = g.size
+    grid = GRID_OVERSAMPLE * g.size
     omegas = np.zeros(0, dtype=float)
-    resid = g.copy()
-    grid = GRID_OVERSAMPLE * n
-    # A detection that collapses onto an existing atom is merged away and the
-    # spent detection is re-issued on the updated residual, so duplicate
-    # picks cannot silently shadow a still-missing component.
-    attempts = 0
-    while omegas.size < k and attempts < 2 * k:
-        attempts += 1
-        spectrum = np.fft.fft(resid, grid)
-        peak = int(np.argmax(np.abs(spectrum)))
-        omega = _newton_refine(2.0 * np.pi * peak / grid, resid, NEWTON_STEPS)
-        omegas = np.append(omegas, omega)
+    resid = g
+    for _ in range(k):
+        peak = int(np.argmax(np.abs(np.fft.fft(resid, grid))))
+        omegas = np.append(omegas, 2.0 * np.pi * peak / grid)
         a, coeffs, resid = _fit_all(g, omegas)
-        # Mid-loop, collapse only true duplicates (a wasted detection lands
-        # nearly on top of an existing atom); estimates of distinct close
-        # components settle only in the joint pass and must not be chained
-        # together.
-        merged_w, _ = _merge_duplicates(omegas, coeffs, n)
-        if merged_w.size < omegas.size:
-            omegas = merged_w
-            a, coeffs, resid = _fit_all(g, omegas)
     return omegas, a, coeffs, resid
-
-
-def checked_order(k, n: int) -> int:
-    """Return the model order ``k`` as an ``int`` for a record of ``n`` samples.
-
-    Raises ``ValueError`` unless ``k`` is an integer from 1 to ``n / 2``.
-    """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    if k > n / 2:
-        raise ValueError("k may not exceed half the record length")
-    return k
 
 
 def nomp(g: np.ndarray, k: int) -> LineSpectrum:
     """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
 
     ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
-    schedule is fixed: each detection picks the peak of a
-    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual,
-    refines only that new frequency by ``NEWTON_STEPS`` guarded Newton steps
-    and refits all amplitudes jointly.  After the last detection a joint
+    schedule is fixed: each of ``k`` detections picks the peak of a
+    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual and
+    refits all amplitudes jointly.  After the last detection a joint
     damped Newton pass of at most ``JOINT_ROUNDS`` rounds refines all
     frequencies and amplitudes together on the exact Hessian, carrying its
     own fit from round to round (damping divided by 3 after an accepted step,

@@ -21,9 +21,10 @@ import numpy as np
 
 from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
-from .lse import checked_order, nomp
+from .lse import nomp
 from .omp import accept_if_improves, omp_refine
-from .signals import LineSpectrum, check_lam_gamma, finite_samples, residual_decompose
+from .signals import (LineSpectrum, check_lam_gamma, checked_order, finite_samples,
+                      residual_decompose)
 from .transform import (
     QuadraticInstance,
     anti_difference,

@@ -8,6 +8,7 @@ parts, so that ``g = y + 2*lam*eps`` holds exactly in double precision.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ __all__ = [
 
 NOISELESS = np.inf
 """SNR value (dB) that disables noise injection entirely."""
+MAX_REDRAWS = 10_000
+"""Cap on the frequency draws :func:`gen_random_spectrum` rejects."""
 
 
 @dataclass(frozen=True)
@@ -54,11 +57,16 @@ class LineSpectrum:
         return self.omegas.size
 
 
+def check_lam(lam: float) -> None:
+    """Reject a folding threshold ``lam`` that is not finite and positive."""
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+
+
 def check_lam_gamma(lam: float, gamma: float) -> None:
     """Reject a folding threshold ``lam`` that is not finite and positive, or
     an oversampling factor ``gamma`` that is not finite and above 1."""
-    if not (np.isfinite(lam) and lam > 0):
-        raise ValueError(f"lam must be finite and positive, got {lam!r}")
+    check_lam(lam)
     if not (np.isfinite(gamma) and gamma > 1):
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
 
@@ -70,6 +78,22 @@ def finite_samples(x) -> np.ndarray:
     if bad.size:
         raise ValueError(f"{bad.size} non-finite sample(s), first at index {bad[0]}")
     return x
+
+
+def checked_order(k, n: int) -> int:
+    """Return the model order ``k`` as an ``int`` for a record of ``n`` samples.
+
+    Raises ``ValueError`` unless ``k`` is an integer from 1 to ``n / 2``.
+    """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise ValueError(f"k must be an integer, got {k!r}") from None
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if k > n / 2:
+        raise ValueError("k may not exceed half the record length")
+    return k
 
 
 @dataclass(frozen=True)
@@ -87,6 +111,7 @@ class SamplingConfig:
         if self.n < 2:
             raise ValueError("n must be >= 2")
         check_lam_gamma(self.lam, self.gamma)
+        checked_order(self.k, self.n)
 
 
 def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:
@@ -114,19 +139,28 @@ def gen_random_spectrum(k: int, gamma: float, rng: np.random.Generator,
     phases are uniform on ``(0, 2*pi)``.  When ``min_separation`` is given,
     draws whose minimum pairwise frequency gap falls below it are rejected
     wholesale; simulation callers pass ``2*pi/n`` so that every scene is
-    resolvable at its record length.
+    resolvable at its record length.  Raises ``ValueError`` if the band
+    cannot hold ``k`` frequencies that far apart, or if ``MAX_REDRAWS``
+    draws in a row are rejected.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     hi = 2.0 * np.pi / gamma
     if min_separation is None:
         min_separation = 0.0
-    while True:
+    crowded = ValueError(
+        f"cannot draw k={k} frequencies at least min_separation="
+        f"{min_separation:g} apart in the band (0, 2*pi/gamma), gamma={gamma:g}")
+    if (k - 1) * min_separation >= hi:
+        raise crowded
+    for _ in range(MAX_REDRAWS):
         omegas = rng.uniform(0.0, hi, size=k)
         if np.all(omegas > 0.0) and (
             k == 1 or np.min(np.diff(np.sort(omegas))) >= min_separation
         ):
             break
+    else:
+        raise crowded
     mags = rng.normal(1.0, np.sqrt(0.1), size=k)
     while np.any(mags <= 0.0):
         bad = mags <= 0.0
@@ -203,8 +237,7 @@ def centered_modulo(t, lam: float):
     ``t = lam`` maps to ``-lam`` (half-open interval, a consequence of the
     fractional-part definition).
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
+    check_lam(lam)
     t = np.asarray(t, dtype=float)
     out = t - 2.0 * lam * np.floor(t / (2.0 * lam) + 0.5)
     return out if out.ndim else float(out)
@@ -222,6 +255,7 @@ def residual_decompose(g: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     Raises if ``(g - y) / (2*lam)`` is not integer-valued to within a scaled
     tolerance, which signals that ``y`` is not the modulo image of ``g``.
     """
+    check_lam(lam)
     g = np.asarray(g, dtype=complex)
     y = np.asarray(y, dtype=complex)
     if g.shape != y.shape:

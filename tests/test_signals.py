@@ -3,6 +3,7 @@ import pytest
 
 from modlse import (
     LineSpectrum,
+    SamplingConfig,
     add_noise,
     bandlimited_bins,
     centered_modulo,
@@ -12,6 +13,8 @@ from modlse import (
     residual_decompose,
     synth_line_spectral,
 )
+
+BAD_LAMS = (0.0, -1.0, np.nan, np.inf, -np.inf)
 
 
 class TestSynth:
@@ -77,6 +80,56 @@ class TestRandomSpectrum:
         for _ in range(200):
             spec = gen_random_spectrum(4, 5.0, rng, min_separation=sep)
             assert np.min(np.diff(np.sort(spec.omegas))) >= sep
+
+    def test_draws_match_unbounded_redraw_loop(self):
+        # the redraw cap changes no draw that the unbounded loop finished
+        def unbounded(k, gamma, rng, min_separation):
+            hi = 2.0 * np.pi / gamma
+            while True:
+                omegas = rng.uniform(0.0, hi, size=k)
+                if np.all(omegas > 0.0) and (
+                    k == 1 or np.min(np.diff(np.sort(omegas))) >= min_separation
+                ):
+                    break
+            mags = rng.normal(1.0, np.sqrt(0.1), size=k)
+            while np.any(mags <= 0.0):
+                bad = mags <= 0.0
+                mags[bad] = rng.normal(1.0, np.sqrt(0.1), size=int(bad.sum()))
+            phases = rng.uniform(0.0, 2.0 * np.pi, size=k)
+            return omegas, mags * np.exp(1j * phases)
+
+        for k, gamma, sep in [(3, 10.0, 2 * np.pi / 512), (4, 5.0, 2 * np.pi / 64),
+                              (1, 10.0, 2 * np.pi / 512), (8, 10.0, 2 * np.pi / 128)]:
+            got_rng, want_rng = np.random.default_rng(3), np.random.default_rng(3)
+            for _ in range(20):
+                spec = gen_random_spectrum(k, gamma, got_rng, min_separation=sep)
+                omegas, coeffs = unbounded(k, gamma, want_rng, sep)
+                assert spec.omegas.tobytes() == omegas.tobytes()
+                assert spec.coeffs.tobytes() == coeffs.tobytes()
+
+    def test_rejects_order_the_band_cannot_hold(self):
+        with pytest.raises(ValueError, match=r"k=300 .*min_separation=0.01227.*"
+                                             r"gamma=10"):
+            gen_random_spectrum(300, 10.0, np.random.default_rng(4),
+                                min_separation=2 * np.pi / 512)
+
+    def test_gives_up_after_bounded_redraws(self):
+        # ten frequencies fit in the band only when nearly evenly spaced
+        sep = 0.999 * (2 * np.pi / 10.0) / 9
+        with pytest.raises(ValueError, match=r"k=10 .*gamma=10"):
+            gen_random_spectrum(10, 10.0, np.random.default_rng(4),
+                                min_separation=sep)
+
+
+class TestSamplingConfig:
+    @pytest.mark.parametrize("k,message", [
+        (300, "k may not exceed half the record length"),
+        (2.5, "k must be an integer"),
+        (0, "k must be >= 1"),
+    ])
+    def test_rejects_bad_order(self, k, message):
+        with pytest.raises(ValueError, match=message):
+            SamplingConfig(n=512, k=k)
 
 
 class TestBandlimited:
@@ -177,6 +230,9 @@ class TestCenteredModulo:
     def test_rejects_bad_threshold(self):
         with pytest.raises(ValueError):
             centered_modulo(0.5, 0.0)
+        for lam in BAD_LAMS:
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                centered_modulo(1.0, lam)
 
 
 class TestModuloSample:
@@ -195,6 +251,11 @@ class TestModuloSample:
         g = 3.0 * (rng.normal(size=64) + 1j * rng.normal(size=64))
         once = modulo_sample(g, 0.7)
         np.testing.assert_allclose(modulo_sample(once, 0.7), once, atol=1e-12)
+
+    def test_rejects_bad_threshold(self):
+        for lam in BAD_LAMS:
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                modulo_sample(np.array([0.5 + 0.5j]), lam)
 
 
 class TestResidualDecompose:
@@ -222,3 +283,9 @@ class TestResidualDecompose:
         g = np.array([1.23 + 0j])
         with pytest.raises(ValueError):
             residual_decompose(g, np.array([0.3 + 0j]), 1.0)
+
+    def test_rejects_bad_threshold(self):
+        g = np.array([0.5 + 0.5j])
+        for lam in BAD_LAMS:
+            with pytest.raises(ValueError, match="lam must be finite and positive"):
+                residual_decompose(g, g, lam)
