@@ -1,17 +1,20 @@
-"""Newton-refined greedy line spectral estimation with a known model order.
+"""Greedy line spectral estimation with a known model order, on one QR.
 
-Each detection picks the peak of an oversampled periodogram of the residual
-and refits all amplitudes jointly by least squares.  A final joint damped
-Newton pass over all frequencies and amplitudes, on the exact Hessian of the
-residual energy, then refines every atom together, including pairs within a
-Rayleigh width of each other.  Its steps are guarded by heavier damping, so
-the residual energy never increases.
+Detection is orthogonal matching pursuit on a growing orthonormal basis.
+Each of up to ``k`` detections takes the peak of an oversampled periodogram
+of the residual, refines that one frequency by a few guarded Newton steps
+and appends its atom to the basis by Gram-Schmidt with one
+re-orthogonalization (the QR factorization of the atom matrix gains one
+column); the residual loses its component along the new direction.
+Detection stops early when that component is at rounding level.
 
-The joint pass carries its own fit from round to round: an accepted
-candidate's frequencies, amplitudes, phasor-power atoms and residual are the
-next iterate, with no least-squares refit in between.  Only its result is
-refitted once on exact atoms, and kept if that fit strictly improves on the
-detection's.
+The frequencies are then refined together by Levenberg-Marquardt variable
+projection (Golub and Pereyra; Kaufman's Jacobian): the amplitudes are
+eliminated, so every iterate carries the exact least-squares fit of its
+frequencies, and a step is taken only if it strictly lowers the residual
+energy.  One exchange step trades the atom that is cheapest to drop for the
+residual's periodogram peak when that gains clearly more than noise could,
+and atoms whose removal loses no fit are dropped.
 """
 
 from __future__ import annotations
@@ -24,10 +27,19 @@ __all__ = ["nomp", "nmse"]
 
 NMSE_FLOOR_DB = -300.0
 
-GRID_OVERSAMPLE = 16
+GRID_OVERSAMPLE = 4
 """Zero-padding factor of the detection periodogram."""
-JOINT_ROUNDS = 40
-"""Cap on the final joint damped Newton rounds."""
+NEWTON_STEPS = 3
+"""Cap on the guarded Newton steps on each new atom's frequency."""
+ROUNDING = 1e-13
+"""Relative size at which a new direction, or the residual along it, is
+rounding noise and detection stops."""
+VP_ROUNDS = 10
+"""Cap on the variable projection rounds."""
+VP_TOL = 1e-12
+"""Relative cost decrease below which variable projection stops early."""
+SWAP_FALSE_ALARM = 1e-3
+"""Chance that white noise alone clears the margin of :func:`_swap_weakest`."""
 
 
 def _atoms(omegas: np.ndarray, n: int) -> np.ndarray:
@@ -36,7 +48,7 @@ def _atoms(omegas: np.ndarray, n: int) -> np.ndarray:
 
 
 def _phasor_atoms(omegas: np.ndarray, n: int) -> np.ndarray:
-    """Atom matrix from phasor powers, for iterates of the joint pass.
+    """Atom matrix from phasor powers, for the iterates of variable projection.
 
     ``k`` complex exponentials and one running product down the rows replace
     the ``n * k`` exponentials of :func:`_atoms`.  Entry ``t`` is within
@@ -51,168 +63,231 @@ def _phasor_atoms(omegas: np.ndarray, n: int) -> np.ndarray:
     return a
 
 
-def _fit_all(g: np.ndarray, omegas: np.ndarray):
-    """Least-squares fit of ``g`` on the atoms of ``omegas``: ``a, coeffs, resid``."""
-    a = _atoms(omegas, g.size)
-    coeffs, *_ = np.linalg.lstsq(a, g, rcond=None)
-    return a, coeffs, g - a @ coeffs
+def _project(g: np.ndarray, a: np.ndarray):
+    """Least-squares fit of ``g`` on the atom matrix ``a``, by its Gram matrix.
 
-
-def _newton_system(a: np.ndarray, coeffs: np.ndarray, resid: np.ndarray):
-    """Half the gradient and half the Hessian of ``|g - A(w) c|^2``.
-
-    The ``3k`` real parameters are ordered ``(Re c, Im c, w)``, and ``a``,
-    ``resid`` are ``A(w)`` and ``g - A(w) c``.  With ``J`` the Jacobian of
-    the model ``A(w) c``, the half Hessian is ``Re(J^H J) - Re<d2 m, r>``.
-    The second term is block-diagonal per atom: only the ``(w_i, w_i)``,
-    ``(w_i, Re c_i)`` and ``(w_i, Im c_i)`` entries are non-zero, so it
-    costs ``O(n k)``.
+    Returns ``ginv, coeffs, resid, cost``: ``(A^H A)^-1``, the coefficients,
+    the residual and its energy.
     """
-    n, k = a.shape
+    ah = a.conj().T
+    ginv = np.linalg.inv(ah @ a)
+    coeffs = ginv @ (ah @ g)
+    resid = g - a @ coeffs
+    return ginv, coeffs, resid, float(np.vdot(resid, resid).real)
+
+
+def _newton_refine(omega: float, resid: np.ndarray) -> float:
+    """Guarded Newton ascent of one atom's gain ``|<resid, a(omega)>|^2``.
+
+    At most ``NEWTON_STEPS`` steps; each is halved until the gain does not
+    drop, and the ascent stops where the gain is not locally concave.
+    """
+    t = np.arange(resid.size)
+    weighted = np.stack([resid, -1j * t * resid, -(t * t) * resid])
+    s, s1, s2 = (weighted @ np.exp(-1j * omega * t)).tolist()
+    for _ in range(NEWTON_STEPS):
+        d1 = 2.0 * (s.conjugate() * s1).real
+        d2 = 2.0 * (s.conjugate() * s2).real + 2.0 * abs(s1) ** 2
+        if d2 >= 0.0:
+            break
+        step = -d1 / d2
+        for _ in range(10):
+            cand = (omega + step) % (2.0 * np.pi)
+            sums = (weighted @ np.exp(-1j * cand * t)).tolist()
+            if abs(sums[0]) >= abs(s):
+                omega, (s, s1, s2) = cand, sums
+                break
+            step /= 2.0
+        else:
+            break
+    return omega
+
+
+def _peak(resid: np.ndarray):
+    """Newton-refined peak of the residual's periodogram, and the grid power."""
+    grid = GRID_OVERSAMPLE * resid.size
+    power = np.abs(np.fft.fft(resid, grid)) ** 2
+    peak = int(np.argmax(power))
+    return _newton_refine(2.0 * np.pi * peak / grid, resid), float(power[peak])
+
+
+def _detect(g: np.ndarray, k: int):
+    """Detect up to ``k`` atoms greedily on one growing orthonormal basis.
+
+    Each detection is :func:`_peak` of the residual; its atom joins the
+    basis ``Q`` by Gram-Schmidt with one re-orthogonalization, and the
+    residual loses its component along the new direction.  Detection stops
+    early when the new atom is numerically in the span of ``Q`` or the
+    residual's component along it is at rounding level, so an exact fit
+    gains no spurious atom.  Returns the fit ``omegas, a, ginv, coeffs,
+    resid, cost`` of :func:`_vp_refine`, from ``a = Q R``:
+    ``ginv = R^-1 R^-H`` and ``coeffs = R^-1 Q^H g``.
+    """
+    n = g.size
     t = np.arange(n)
-    datom = (1j * t)[:, None] * a * coeffs[None, :]
-    # rows: real, then imaginary parts; columns: the model's derivatives
-    # along Re c (A), Im c (iA) and w
-    jac = np.empty((2, n, 3, k))
-    jac[0, :, 0], jac[1, :, 0] = a.real, a.imag
-    jac[0, :, 1], jac[1, :, 1] = -a.imag, a.real
-    jac[0, :, 2], jac[1, :, 2] = datom.real, datom.imag
-    jac = jac.reshape(2 * n, 3 * k)
-    grad = -(jac.T @ np.concatenate([resid.real, resid.imag]))
-    hess = jac.T @ jac
-    # u = A^H (t r) and v = A^H (t^2 r), from one product with A
-    u, v = np.conj(np.stack([t * np.conj(resid), t * t * np.conj(resid)]) @ a)
-    re, im, w = np.arange(k), np.arange(k, 2 * k), np.arange(2 * k, 3 * k)
-    hess[w, w] += (np.conj(coeffs) * v).real
-    hess[w, re] -= u.imag
-    hess[re, w] -= u.imag
-    hess[w, im] += u.real
-    hess[im, w] += u.real
-    return grad, hess
+    a = np.empty((n, k), dtype=complex)
+    q = np.empty((n, k), dtype=complex)
+    rf = np.zeros((k, k), dtype=complex)
+    z = np.empty(k, dtype=complex)
+    omegas = np.empty(k)
+    floor = ROUNDING * float(np.linalg.norm(g))
+    resid = g
+    j = 0
+    while j < k:
+        omega, _ = _peak(resid)
+        col = np.exp(1j * omega * t)
+        basis = q[:, :j]
+        h = basis.conj().T @ col
+        v = col - basis @ h
+        h2 = basis.conj().T @ v
+        v -= basis @ h2
+        norm = float(np.linalg.norm(v))
+        if j and norm <= ROUNDING * np.sqrt(n):
+            break
+        v /= norm
+        zj = np.vdot(v, resid)
+        if j and abs(zj) <= floor:
+            break
+        a[:, j], q[:, j], z[j], omegas[j] = col, v, zj, omega
+        rf[:j, j], rf[j, j] = h + h2, norm
+        resid = resid - zj * v
+        j += 1
+    rinv = np.linalg.inv(rf[:j, :j])
+    return (omegas[:j], a[:, :j], rinv @ rinv.conj().T, rinv @ z[:j], resid,
+            float(np.vdot(resid, resid).real))
 
 
-def _joint_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
-                  coeffs: np.ndarray, resid: np.ndarray):
-    """Damped Newton over all (frequency, amplitude) pairs.
+def _vp_system(a: np.ndarray, ginv: np.ndarray, coeffs: np.ndarray,
+               resid: np.ndarray):
+    """Gauss-Newton system of variable projection: ``hess, grad``.
 
-    Starts from the caller's fit ``a, coeffs, resid = _fit_all(g, omegas)``
-    and returns the refined frequencies, their fit and its residual energy.
-    Each round solves ``(H + mu diag H) d = -grad`` on the exact Hessian of
-    :func:`_newton_system`; ``mu`` drops threefold after an accepted step and
-    grows tenfold after a rejected one.  A step is accepted only if it
-    strictly lowers the residual energy of the carried fit, and the accepted
-    candidate (frequencies, its own amplitudes, phasor-power atoms and
-    residual) is the next iterate.  After the last round the frequencies are
-    refitted once by :func:`_fit_all`; that fit is returned only if its
-    energy is strictly below the detection's, else the detection fit is
-    returned unchanged, so the energy never increases.
+    With Kaufman's Jacobian ``J_i = -P_perp (i t * a_i c_i)`` of the
+    projected residual ``P_perp(w) g``, ``hess = Re(J^H J)`` and
+    ``grad = Re(J^H r)``, half the gradient of the residual energy; the
+    gradient is exact, because ``r`` is orthogonal to the atoms.
     """
-    n, k = g.size, omegas.size
-    start_cost = cost = float(np.linalg.norm(resid) ** 2)
-    floor = 1e-28 * float(np.linalg.norm(g) ** 2)
-    w, c, mu = omegas, coeffs, 1e-3
-    for _ in range(JOINT_ROUNDS):
+    b = (1j * np.arange(a.shape[0]))[:, None] * a * coeffs
+    ahb = a.conj().T @ b
+    hess = (b.conj().T @ b - ahb.conj().T @ ginv @ ahb).real
+    return hess, -(b.conj().T @ resid).real
+
+
+def _vp_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
+               ginv: np.ndarray, coeffs: np.ndarray, resid: np.ndarray,
+               cost: float):
+    """Levenberg-Marquardt variable projection over the frequencies alone.
+
+    Takes and returns a fit ``omegas, a, ginv, coeffs, resid, cost``: the
+    atoms of ``omegas``, the inverse of their Gram matrix, the least-squares
+    coefficients of ``g``, the residual and its energy.  The amplitudes are
+    eliminated, so every iterate is the exact least-squares fit of its
+    frequencies (:func:`_project` on :func:`_phasor_atoms`).  Each of at
+    most ``VP_ROUNDS`` rounds solves ``(H + mu max(diag H) I) d = -grad`` on
+    :func:`_vp_system`; ``mu`` drops threefold after an accepted step and
+    grows tenfold after a rejected one, and a step is accepted only if it
+    strictly lowers the residual energy.  The rounds stop early once that
+    energy falls by less than ``VP_TOL`` of itself.
+    """
+    floor = 1e-28 * float(np.vdot(g, g).real)
+    mu = 1e-3
+    for _ in range(VP_ROUNDS):
         if cost <= floor:
             break
-        grad, hess = _newton_system(a, c, resid)
-        diag = np.diag(hess)
+        hess, grad = _vp_system(a, ginv, coeffs, resid)
+        damp = np.max(np.diag(hess)) * np.eye(omegas.size)
         for _ in range(20):
             try:
-                upd = np.linalg.solve(hess + np.diag(mu * diag), -grad)
+                w = (omegas + np.linalg.solve(hess + mu * damp, -grad)) % (2.0 * np.pi)
+                a_w = _phasor_atoms(w, g.size)
+                cand = _project(g, a_w)
             except np.linalg.LinAlgError:  # singular: damp harder
                 mu *= 10.0
                 continue
-            cand = (w + upd[2 * k:]) % (2.0 * np.pi)
-            c_cand = c + upd[:k] + 1j * upd[k:2 * k]
-            a_cand = _phasor_atoms(cand, n)
-            r_cand = g - a_cand @ c_cand
-            cand_cost = float(np.linalg.norm(r_cand) ** 2)
-            if cand_cost < cost:
+            if cand[-1] < cost:
                 mu /= 3.0
                 break
             mu *= 10.0
         else:
             break
         prev_cost = cost
-        w, c, a, resid, cost = cand, c_cand, a_cand, r_cand, cand_cost
-        if prev_cost - cost <= 1e-12 * prev_cost:
+        omegas, a, (ginv, coeffs, resid, cost) = w, a_w, cand
+        if prev_cost - cost <= VP_TOL * prev_cost:
             break
-    if w is not omegas:  # a step was accepted
-        _, c, resid = _fit_all(g, w)
-        cost = float(np.linalg.norm(resid) ** 2)
-        if cost < start_cost:
-            return w, c, cost
-    return omegas, coeffs, start_cost
+    return omegas, a, ginv, coeffs, resid, cost
 
 
-def _merge_lossless(g: np.ndarray, omegas: np.ndarray, coeffs: np.ndarray,
-                    cost: float, n: int):
-    """Merge half-bin neighbours only when the refit shows no fit loss.
+def _swap_weakest(g: np.ndarray, fit):
+    """Trade the atom that is cheapest to drop for the residual's peak.
 
-    ``coeffs`` and ``cost`` are the fit of ``omegas`` and its residual energy.
-    True duplicates (two atoms chasing one peak) are nearly collinear, so
-    dropping one and refitting re-absorbs its amplitude at no cost.  Close
-    pairs that genuinely resolve two components would degrade the fit when
-    collapsed, and are kept.
+    Dropping atom ``i`` from a least-squares fit raises its cost by
+    ``|c_i|^2 / (A^H A)^-1_ii``; adding an atom at the residual's
+    periodogram peak lowers it by at least the peak power over ``n``.  The
+    trade must gain more than the margin ``s^2 ln(n / SWAP_FALSE_ALARM)``,
+    about the highest periodogram peak that white noise of the estimated
+    variance ``s^2 = cost / (n - k)`` reaches, first by that estimate and
+    then on the exchanged set's own fit; otherwise ``fit`` is returned as it
+    is.  Below that margin the trade would fit noise, not a missed
+    component.  The exchanged set is refined by :func:`_vp_refine`.
     """
-    tol = np.pi / n  # half a DFT bin
-    scale = float(np.linalg.norm(g) ** 2)
+    omegas, _, ginv, coeffs, resid, cost = fit
+    n = g.size
+    omega, power = _peak(resid)
+    loss = np.abs(coeffs) ** 2 / np.diag(ginv).real
+    weak = int(np.argmin(loss))
+    margin = cost / (n - omegas.size) * np.log(n / SWAP_FALSE_ALARM)
+    if power / n - loss[weak] <= margin:
+        return fit
+    w = omegas.copy()
+    w[weak] = omega
+    a_w = _atoms(w, n)
+    cand = _project(g, a_w)
+    if cand[-1] >= cost - margin:
+        return fit
+    return _vp_refine(g, w, a_w, *cand)
+
+
+def _drop_lossless(g: np.ndarray, fit):
+    """Drop atoms whose removal loses no fit; returns ``omegas, coeffs``.
+
+    Dropping atom ``i`` from a least-squares fit raises its residual energy
+    by ``|c_i|^2 / (A^H A)^-1_ii``.  While the cheapest atom's loss is
+    within ``1e-9`` of the signal energy, it is dropped and the rest refitted:
+    true duplicates (two atoms on one peak) and atoms fitted to a
+    rounding-level residual go, while close pairs that resolve two
+    components would lose fit and stay.
+    """
+    omegas, a, ginv, coeffs, _, _ = fit
+    tol = 1e-9 * float(np.vdot(g, g).real)
     while omegas.size > 1:
-        order = np.argsort(omegas)
-        gaps = np.diff(omegas[order])
-        tight = int(np.argmin(gaps))
-        if gaps[tight] >= tol:
+        loss = np.abs(coeffs) ** 2 / np.diag(ginv).real
+        drop = int(np.argmin(loss))
+        if loss[drop] > tol:
             break
-        i, j = order[tight], order[tight + 1]
-        drop = i if abs(coeffs[i]) < abs(coeffs[j]) else j
-        cand_w = np.delete(omegas, drop)
-        _, cand_c, cand_r = _fit_all(g, cand_w)
-        cand_cost = float(np.linalg.norm(cand_r) ** 2)
-        if cand_cost > cost + 1e-9 * scale:
-            break
-        omegas, coeffs, cost = cand_w, cand_c, cand_cost
+        omegas, a = np.delete(omegas, drop), np.delete(a, drop, axis=1)
+        ginv, coeffs, _, _ = _project(g, a)
     return omegas, coeffs
-
-
-def _detect(g: np.ndarray, k: int):
-    """Detect ``k`` atoms greedily; returns ``omegas, a, coeffs, resid``.
-
-    Each detection is the peak of a ``GRID_OVERSAMPLE``-times zero-padded
-    periodogram of the residual, and ``a, coeffs, resid`` is the
-    least-squares fit of ``g`` on the atoms of ``omegas``, as
-    :func:`_fit_all` returns it.  The residual is orthogonal to every fitted
-    atom, so a grid point already picked can win again only when the
-    residual is at rounding level; the repeats then share one amplitude and
-    :func:`_merge_lossless` folds them back into one atom.
-    """
-    grid = GRID_OVERSAMPLE * g.size
-    omegas = np.zeros(0, dtype=float)
-    resid = g
-    for _ in range(k):
-        peak = int(np.argmax(np.abs(np.fft.fft(resid, grid))))
-        omegas = np.append(omegas, 2.0 * np.pi * peak / grid)
-        a, coeffs, resid = _fit_all(g, omegas)
-    return omegas, a, coeffs, resid
 
 
 def nomp(g: np.ndarray, k: int) -> LineSpectrum:
     """Estimate ``k`` sinusoids from a uniformly sampled complex signal.
 
     ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
-    schedule is fixed: each of ``k`` detections picks the peak of a
-    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual and
-    refits all amplitudes jointly.  After the last detection a joint
-    damped Newton pass of at most ``JOINT_ROUNDS`` rounds refines all
-    frequencies and amplitudes together on the exact Hessian, carrying its
-    own fit from round to round (damping divided by 3 after an accepted step,
-    times 10 after a rejected one) and refitting once at the end; half-bin
-    neighbours are then merged where the refit loses no fit.
+    schedule is fixed: up to ``k`` detections, each the peak of a
+    ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual with
+    ``NEWTON_STEPS`` guarded Newton steps on its frequency, on one QR
+    factorization that gains a column per detection; then at most
+    ``VP_ROUNDS`` rounds of variable projection over the frequencies
+    (damping divided by 3 after an accepted step, times 10 after a rejected
+    one), whose amplitudes are always the exact least-squares fit; one
+    exchange of the cheapest atom for a clearly stronger residual peak; and
+    the removal of atoms that carry no fit, such as duplicates.  Fewer than
+    ``k`` components come back when the fit is exact before the ``k``-th
+    detection or an atom is removed.
     """
     g = finite_samples(g)
     k = checked_order(k, g.size)
-    omegas, coeffs, cost = _joint_refine(g, *_detect(g, k))
-    omegas, coeffs = _merge_lossless(g, omegas, coeffs, cost, g.size)
-    return LineSpectrum(omegas, coeffs)
+    fit = _swap_weakest(g, _vp_refine(g, *_detect(g, k)))
+    return LineSpectrum(*_drop_lossless(g, fit))
 
 
 def nmse(x_hat: np.ndarray, x: np.ndarray) -> float:
