@@ -80,24 +80,20 @@ def _check_budget(entries: int) -> None:
         )
 
 
-def dp_solve(inst: QuadraticInstance, *, b: np.ndarray | None = None,
-             return_stats: bool = False):
+def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
     """Globally minimize the band-truncated objective over bounded states.
 
     Runs the forward value recursion over stage tables keyed by ``p``-tuples
     of states, enumerates the trailing ``(p+1)``-variable block exactly, and
-    backtracks through the recorded argmins.  ``b`` overrides the linear
-    term of ``inst`` (used by iterative re-centering); the Gram band is
-    always taken from the instance.
+    backtracks through the recorded argmins.  Iterative re-centering passes
+    an instance re-observed around the current estimate
+    (:meth:`QuadraticInstance.with_observation`).
 
     Returns the minimizing Gaussian-integer sequence (``complex128`` with
     integral parts), plus a :class:`DpStats` when ``return_stats`` is set.
     """
-    p, v = inst.p, inst.v_bound
+    p, v, b = inst.p, inst.v_bound, inst.b
     m = inst.n_vars
-    b = inst.b if b is None else np.asarray(b)
-    if b.size != m:
-        raise ValueError("linear-term override must have one entry per variable")
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"non-finite linear term at index {bad[0]}")
@@ -180,23 +176,21 @@ def dp_solve(inst: QuadraticInstance, *, b: np.ndarray | None = None,
     return eps
 
 
-def brute_force_solve(inst: QuadraticInstance, use_banded: bool = True,
-                      *, b: np.ndarray | None = None) -> np.ndarray:
+def brute_force_solve(inst: QuadraticInstance, use_banded: bool = True) -> np.ndarray:
     """Exhaustively minimize the exact or banded objective (test-scale only).
 
     Enumerates the full ``(2V+1)^(2*n_vars)`` candidate set by splitting the
     variables into two halves and combining the halves' quadratic forms with
     a single cross matrix, so no candidate matrix is ever materialized.
     Ties resolve to the smallest flat candidate index (leading variable most
-    significant, states in :func:`state_alphabet` order).
+    significant, states in :func:`state_alphabet` order).  The linear term
+    is ``inst.b``, as in :func:`dp_solve`.
     """
     m = inst.n_vars
     v = inst.v_bound
     states = state_alphabet(v)
     bsz = states.size
     _check_budget(bsz ** m)
-    if b is None:
-        b = inst.b
 
     q = inst.q_banded_dense() if use_banded else inst.q_dense()
 
@@ -210,9 +204,9 @@ def brute_force_solve(inst: QuadraticInstance, use_banded: bool = True,
     right = half_tuples(m - h1)
     q11, q22, q12 = q[:h1, :h1], q[h1:, h1:], q[:h1, h1:]
     quad_l = np.real(np.einsum("ci,ij,cj->c", np.conj(left), q11, left)) \
-        + 2.0 * np.real(np.conj(left) @ b[:h1])
+        + 2.0 * np.real(np.conj(left) @ inst.b[:h1])
     quad_r = np.real(np.einsum("ci,ij,cj->c", np.conj(right), q22, right)) \
-        + 2.0 * np.real(np.conj(right) @ b[h1:])
+        + 2.0 * np.real(np.conj(right) @ inst.b[h1:])
     cross = 2.0 * np.real(np.conj(left) @ q12 @ right.T)
     total = quad_l[:, None] + cross + quad_r[None, :]
     flat = int(np.argmin(total))

@@ -58,7 +58,13 @@ __all__ = [
     "write_summary_json",
 ]
 
-SCENARIOS = ("single_trial", "beta_sweep", "snr_sweep", "bandlimited_sweep")
+SCENARIOS = {
+    # scenario: (swept axis, grid field; None runs one point at sampling.snr_db)
+    "single_trial": ("snr_db", None),
+    "beta_sweep": ("beta", "beta_grid"),
+    "snr_sweep": ("snr_db", "snr_grid"),
+    "bandlimited_sweep": ("snr_db", "snr_grid"),
+}
 
 RESULT_COLUMNS = ("trial_id", "seed", "method", "p", "beta", "snr_db",
                   "nmse_db", "success", "failed", "runtime_s")
@@ -81,6 +87,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
+        swept = SCENARIOS[self.scenario][1]
+        for grid in ("snr_grid", "beta_grid"):
+            if grid != swept and getattr(self, grid):
+                raise ValueError(f"scenario {self.scenario!r} does not read {grid}")
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"expected one of {tuple(METHODS)}")
@@ -197,17 +207,12 @@ class SweepPoint:
 
 
 def _sweep_axis(cfg: ExperimentConfig) -> tuple[str, tuple[float, ...]]:
-    if cfg.scenario == "beta_sweep":
-        if not cfg.beta_grid:
-            raise ValueError("beta_sweep requires a non-empty beta_grid")
-        return "beta", cfg.beta_grid
-    if cfg.scenario in ("snr_sweep", "bandlimited_sweep"):
-        if not cfg.snr_grid:
-            raise ValueError(f"{cfg.scenario} requires a non-empty snr_grid")
-        return "snr_db", cfg.snr_grid
-    if cfg.scenario == "single_trial":
-        return "snr_db", (cfg.sampling.snr_db,)
-    raise ValueError(f"scenario {cfg.scenario!r} is not a sweep")
+    axis, grid = SCENARIOS[cfg.scenario]
+    if grid is None:
+        return axis, (cfg.sampling.snr_db,)
+    if not getattr(cfg, grid):
+        raise ValueError(f"{cfg.scenario} requires a non-empty {grid}")
+    return axis, getattr(cfg, grid)
 
 
 def _point_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:

@@ -6,7 +6,8 @@ column most correlated with the current residual, least-squares fit the
 selected support, round the fit back onto the lattice, and keep the update
 only while the true (un-truncated) objective keeps dropping.  Columns of the
 selected-row DFT all share one norm, so raw inner products rank correlations
-correctly.
+correctly.  :func:`accept_if_improves` applies the same strict-decrease guard
+to a whole update, evaluating each candidate's exact objective once.
 """
 
 from __future__ import annotations
@@ -61,18 +62,22 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
 
 
 def accept_if_improves(inst: QuadraticInstance, eps_hat: np.ndarray,
-                       delta: np.ndarray) -> np.ndarray:
+                       delta: np.ndarray, trace: list[float]) -> np.ndarray:
     """Return ``eps_hat + delta`` only if it strictly lowers the exact objective.
 
-    A rejection returns ``eps_hat`` itself; an all-zero ``delta`` is rejected
-    without evaluating the objective.
+    ``trace[-1]`` holds the objective of ``eps_hat``; the objective of the
+    result is appended.  A rejection returns ``eps_hat`` itself; an all-zero
+    ``delta`` is rejected without evaluating the objective.
     """
     eps_hat = np.asarray(eps_hat, dtype=complex)
     delta = np.asarray(delta, dtype=complex)
     if eps_hat.shape != delta.shape:
         raise ValueError("length mismatch")
-    if not delta.any():
-        return eps_hat
-    if exact_objective(inst, eps_hat + delta) < exact_objective(inst, eps_hat):
-        return eps_hat + delta
+    if delta.any():
+        candidate = eps_hat + delta
+        obj = exact_objective(inst, candidate)
+        if obj < trace[-1]:
+            trace.append(obj)
+            return candidate
+    trace.append(trace[-1])
     return eps_hat

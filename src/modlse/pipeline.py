@@ -1,9 +1,9 @@
 """Two-stage recovery: unfold the modulo samples, then estimate the spectrum.
 
-Stage one alternates the banded dynamic-programming solve with greedy
-lattice refinement on the guard-band instance, re-centering the linear term
-around the running estimate between passes; both updates are guarded by a
-strict decrease of the exact objective.  The accepted folding-count
+Stage one alternates the banded dynamic-programming solve, re-centered on
+the running estimate between passes, with greedy lattice refinement on the
+guard-band instance; both updates are guarded by a strict decrease of the
+exact objective, evaluated once per candidate.  The accepted folding-count
 differences are then integrated (anti-difference), which leaves a single
 additive Gaussian-integer constant that simulation callers remove against
 ground truth and blind callers remove by a rounded median.  Stage two runs
@@ -23,8 +23,8 @@ from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
-from .signals import (LineSpectrum, check_lam_gamma, checked_order, finite_samples,
-                      residual_decompose)
+from .signals import (LineSpectrum, check_lam_gamma, checked_int, checked_order,
+                      finite_samples, residual_decompose)
 from .transform import (
     QuadraticInstance,
     anti_difference,
@@ -89,7 +89,7 @@ class PipelineConfig:
     iter_max: int = 2
 
     def __post_init__(self):
-        if self.iter_max < 1:
+        if checked_int("iter_max", self.iter_max) < 1:
             raise ValueError("iter_max must be >= 1")
 
 
@@ -141,25 +141,18 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     inst = build_instance(y, lam, bins, cfg.p, cfg.v_bound)
     eps_d = np.zeros(inst.n_vars, dtype=complex)
     trace = [exact_objective(inst, eps_d)]
-
-    def accept(delta: np.ndarray) -> bool:
-        nonlocal eps_d
-        updated = accept_if_improves(inst, eps_d, delta)
-        if updated is eps_d:
-            trace.append(trace[-1])  # rejected: the estimate is unchanged
-            return False
-        eps_d = updated
-        trace.append(exact_objective(inst, eps_d))
-        return True
-
     dp_rejected = 0
     omp_rejected = 0
     for _ in range(cfg.iter_max if spec.iterate else 1):
         if spec.dp:
-            recentered_b = inst.adjoint(inst.z_s + inst.forward(eps_d))
-            dp_rejected += not accept(dp_solve(inst, b=recentered_b))
+            recentered = inst.with_observation(inst.z_s + inst.forward(eps_d))
+            updated = accept_if_improves(inst, eps_d, dp_solve(recentered), trace)
+            dp_rejected += updated is eps_d
+            eps_d = updated
         if spec.omp:
-            omp_rejected += not accept(omp_refine(inst, eps_d))
+            updated = accept_if_improves(inst, eps_d, omp_refine(inst, eps_d), trace)
+            omp_rejected += updated is eps_d
+            eps_d = updated
     return ResidualRecovery(eps_diff=eps_d, eps=anti_difference(eps_d),
                             objective_trace=trace, dp_rejections=dp_rejected,
                             omp_rejections=omp_rejected, instance=inst)

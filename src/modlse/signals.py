@@ -80,15 +80,20 @@ def finite_samples(x) -> np.ndarray:
     return x
 
 
+def checked_int(name: str, value) -> int:
+    """Return ``value`` as an ``int``, or raise a ``ValueError`` naming ``name``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def checked_order(k, n: int) -> int:
     """Return the model order ``k`` as an ``int`` for a record of ``n`` samples.
 
     Raises ``ValueError`` unless ``k`` is an integer from 1 to ``n / 2``.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise ValueError(f"k must be an integer, got {k!r}") from None
+    k = checked_int("k", k)
     if k < 1:
         raise ValueError("k must be >= 1")
     if k > n / 2:

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .signals import checked_int
+
 __all__ = [
     "QuadraticInstance",
     "first_difference",
@@ -143,7 +145,7 @@ class QuadraticInstance:
     def q_dense(self) -> np.ndarray:
         """Dense Hermitian Toeplitz ``Q``; test-scale use only."""
         m = self.n_vars
-        q = _gram_offsets(self.bins, m, np.arange(m))
+        q = _gram_offsets(self.bins, m)
         idx = np.subtract.outer(np.arange(m), np.arange(m))
         out = q[np.abs(idx)]
         return np.where(idx > 0, np.conj(out), out)
@@ -167,25 +169,15 @@ def _adjoint(bins: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
     return np.fft.ifft(full) * np.sqrt(m)
 
 
-def _gram_offsets(bins: np.ndarray, m: int, d: np.ndarray) -> np.ndarray:
-    """``(1/m) * sum_{s in bins} exp(-2j*pi*s*d/m)`` per offset ``d``.
+def _gram_offsets(bins: np.ndarray, m: int) -> np.ndarray:
+    """Offsets ``q[d] = (1/m) * sum_{s in bins} exp(-2j*pi*s*d/m)``, d = 0..m-1.
 
-    For contiguous blocks of strictly increasing bins (as checked by
-    :func:`build_instance`) the sum collapses to a geometric series,
-    evaluated in closed form to keep instance construction ``O(p)``.
+    The sum over the selected rows is the DFT of their indicator, so one FFT
+    gives every offset to within a few ulps, whatever the bins are.
     """
-    lo, hi = int(bins[0]), int(bins[-1])
-    contiguous = bins.size == hi - lo + 1
-    out = np.empty(d.size, dtype=complex)
-    for i, dd in enumerate(d):
-        r = np.exp(-2j * np.pi * dd / m)
-        if dd % m == 0:
-            out[i] = bins.size / m
-        elif contiguous:
-            out[i] = r ** lo * (1.0 - r ** bins.size) / (1.0 - r) / m
-        else:
-            out[i] = np.sum(r ** bins) / m
-    return out
+    indicator = np.zeros(m)
+    indicator[bins] = 1.0
+    return np.fft.fft(indicator) / m
 
 
 def build_instance(y: np.ndarray, lam: float, bins: np.ndarray,
@@ -210,13 +202,14 @@ def build_instance(y: np.ndarray, lam: float, bins: np.ndarray,
     if bins[0] < 0 or bins[-1] > m - 1:
         raise ValueError(f"bins {bins[0]}..{bins[-1]} outside 0..{m - 1} "
                          f"for {y.size} samples")
-    if p < 1:
-        raise ValueError("band order p must be >= 1")
+    p, v_bound = checked_int("p", p), checked_int("v_bound", v_bound)
+    if not 1 <= p < m:
+        raise ValueError(f"band order p must be from 1 to {m - 1}, got {p}")
     if v_bound < 1:
         raise ValueError("state bound must be >= 1")
     z_s = dft(first_difference(y))[bins] / (2.0 * lam)
     return QuadraticInstance(bins=bins, n_vars=m, z_s=z_s, b=_adjoint(bins, m, z_s),
-                             band=_gram_offsets(bins, m, np.arange(p + 1)),
+                             band=_gram_offsets(bins, m)[:p + 1],
                              p=p, v_bound=v_bound)
 
 

@@ -137,6 +137,16 @@ class TestCliCommands:
         assert err == ("modlse experiment: error: snr_sweep requires a "
                        "non-empty snr_grid\n")
 
+    def test_experiment_unread_grid_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = snr_sweep\nsnr_grid = 30\nbeta_grid = 0.05\n")
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("modlse experiment: error: scenario 'snr_sweep' does not "
+                       "read beta_grid\n")
+        assert not (tmp_path / "x_trials.csv").exists()
+
     def test_recover_bad_lambda_is_one_line_error(self, tmp_path, capsys):
         prefix = tmp_path / "scene"
         main(["simulate", "--n", "64", "--k", "1", "--out", str(prefix)])

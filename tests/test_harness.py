@@ -95,6 +95,17 @@ class TestRunSweep:
         with pytest.raises(ValueError):
             run_sweep(cfg)
 
+    @pytest.mark.parametrize("scenario,grid", [
+        ("snr_sweep", "beta_grid"), ("bandlimited_sweep", "beta_grid"),
+        ("single_trial", "beta_grid"), ("beta_sweep", "snr_grid"),
+        ("single_trial", "snr_grid"),
+    ])
+    def test_unread_grid_rejected(self, scenario, grid):
+        # a grid the scenario does not sweep would be parsed and then ignored
+        with pytest.raises(ValueError,
+                           match=f"scenario '{scenario}' does not read {grid}"):
+            small_config(scenario=scenario, **{grid: (0.05,)})
+
     def test_sweep_aggregates(self):
         cfg = small_config(scenario="snr_sweep", snr_grid=(30.0, 5.0), trials=3)
         points = run_sweep(cfg)

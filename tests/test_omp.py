@@ -100,8 +100,10 @@ class TestAcceptIfImproves:
         rng = np.random.default_rng(77)
         inst, eps_true = planted_instance(rng)
         zero = np.zeros(inst.n_vars, dtype=complex)
-        out = accept_if_improves(inst, eps_true, zero)
+        trace = [exact_objective(inst, eps_true)]
+        out = accept_if_improves(inst, eps_true, zero, trace)
         np.testing.assert_array_equal(out, eps_true)
+        assert trace[1] == trace[0]
 
     def test_improving_delta_accepted(self):
         rng = np.random.default_rng(78)
@@ -110,20 +112,25 @@ class TestAcceptIfImproves:
         wrong[3] += 1.0
         fix = np.zeros(inst.n_vars, dtype=complex)
         fix[3] = -1.0
-        out = accept_if_improves(inst, wrong, fix)
+        trace = [exact_objective(inst, wrong)]
+        out = accept_if_improves(inst, wrong, fix, trace)
         np.testing.assert_array_equal(out, eps_true)
+        assert trace[1] == exact_objective(inst, eps_true) < trace[0]
 
     def test_worsening_delta_rejected(self):
         rng = np.random.default_rng(79)
         inst, eps_true = planted_instance(rng)
         bad = np.zeros(inst.n_vars, dtype=complex)
         bad[0] = 5.0
-        out = accept_if_improves(inst, eps_true, bad)
+        trace = [exact_objective(inst, eps_true)]
+        out = accept_if_improves(inst, eps_true, bad, trace)
         np.testing.assert_array_equal(out, eps_true)
+        assert trace[1] == trace[0]
 
     def test_zero_delta_skips_objective(self, monkeypatch):
         # a zero delta is rejected as the input object itself, without
-        # evaluating the objective; any other delta costs two evaluations
+        # evaluating the objective; any other delta costs one evaluation,
+        # since the trace already holds the objective of the input
         from modlse import omp
 
         calls = []
@@ -135,10 +142,13 @@ class TestAcceptIfImproves:
         monkeypatch.setattr(omp, "exact_objective", counted)
         rng = np.random.default_rng(77)
         inst, eps_true = planted_instance(rng)
+        trace = [exact_objective(inst, eps_true)]
         assert accept_if_improves(inst, eps_true,
-                                  np.zeros(inst.n_vars, dtype=complex)) is eps_true
+                                  np.zeros(inst.n_vars, dtype=complex),
+                                  trace) is eps_true
         assert calls == []
         bad = np.zeros(inst.n_vars, dtype=complex)
         bad[0] = 5.0
-        assert accept_if_improves(inst, eps_true, bad) is eps_true
-        assert len(calls) == 2
+        assert accept_if_improves(inst, eps_true, bad, trace) is eps_true
+        assert len(calls) == 1
+        assert trace == [trace[0]] * 3

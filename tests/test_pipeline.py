@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+import modlse.omp as omp
 import modlse.pipeline as pipeline
 from modlse import (
     METHODS,
     LineSpectrum,
     PipelineConfig,
     SamplingConfig,
+    accept_if_improves,
     add_noise,
     anti_difference,
     build_instance,
@@ -71,15 +73,23 @@ class TestRecoverResidual:
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_rejected_pass_repeats_objective(self, monkeypatch):
-        # a rejected update leaves the estimate unchanged, so the trace
-        # repeats the last value instead of recomputing it
+        # the exact objective is evaluated once for the start and once per
+        # non-zero candidate update; a rejected update leaves the estimate
+        # unchanged, so the trace repeats the last value instead
         calls = []
+        nonzero = []
 
         def counted(inst, eps):
             calls.append(1)
             return exact_objective(inst, eps)
 
+        def accept(inst, eps_hat, delta, *rest):
+            nonzero.append(bool(np.any(delta)))
+            return accept_if_improves(inst, eps_hat, delta, *rest)
+
         monkeypatch.setattr(pipeline, "exact_objective", counted)
+        monkeypatch.setattr(omp, "exact_objective", counted)
+        monkeypatch.setattr(pipeline, "accept_if_improves", accept)
         rng = np.random.default_rng(102)
         spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
         g = add_noise(synth_line_spectral(spec, 512), 25.0, rng)
@@ -87,7 +97,8 @@ class TestRecoverResidual:
         res = recover_residual(y, PipelineConfig(iter_max=3), 0.7, 10.0)
         rejected = res.dp_rejections + res.omp_rejections
         assert rejected > 0
-        assert len(calls) == len(res.objective_trace) - rejected
+        assert len(nonzero) == len(res.objective_trace) - 1
+        assert len(calls) == 1 + sum(nonzero)
         trace = res.objective_trace
         assert sum(a == b for a, b in zip(trace, trace[1:])) >= rejected
         assert trace[-1] == exact_objective(res.instance, res.eps_diff)
@@ -122,6 +133,21 @@ class TestRecoverResidual:
         y = modulo_sample(synth_line_spectral(LineSpectrum([0.3], [0.5]), 64), 0.4)
         with pytest.raises(ValueError):
             recover_residual(y, PipelineConfig(), 0.4, 10.0, method="usalg")
+
+    def test_non_integer_iter_max_rejected(self):
+        with pytest.raises(ValueError, match="^iter_max must be an integer, got 2.5"):
+            PipelineConfig(iter_max=2.5)
+
+    @pytest.mark.parametrize("field,value", [("p", 2.5), ("v_bound", 1.5)])
+    def test_non_integer_instance_knob_rejected(self, field, value):
+        # before stage one runs: a half-integer v_bound would otherwise give
+        # off-lattice folding counts, a fractional p a numpy TypeError
+        rng = np.random.default_rng(106)
+        g = add_noise(synth_line_spectral(gen_random_spectrum(1, 10.0, rng), 128),
+                      30.0, rng)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            recover_residual(modulo_sample(g, 0.5), PipelineConfig(**{field: value}),
+                             0.5, 10.0)
 
 
 class TestConstantResolution:

@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -20,6 +21,7 @@ from modlse import (
     select_subset_tail,
     synth_line_spectral,
 )
+from modlse.transform import _gram_offsets
 
 
 def unitary_dft_matrix(m):
@@ -232,6 +234,13 @@ class TestBuildInstance:
         with pytest.raises(ValueError, match=problem):
             build_instance(y, 0.5, np.array(bins), 2, 1)
 
+    @pytest.mark.parametrize("p", [0, 11, 12])
+    def test_band_order_outside_instance_rejected(self, p):
+        # the Gram band has one offset per variable, 0..10 for 11 variables
+        y = np.zeros(12, dtype=complex)
+        with pytest.raises(ValueError, match=f"p must be from 1 to 10, got {p}"):
+            build_instance(y, 0.5, np.arange(3, 6), p, 1)
+
     def test_recentering_preserves_geometry(self):
         inst, _ = make_instance()
         rng = np.random.default_rng(29)
@@ -254,6 +263,25 @@ class TestGramSpectrum:
             eig = np.linalg.eigvalsh(q)
             assert eig.min() >= -1e-9
             assert eig.max() <= 1 + 1e-9
+
+
+    @pytest.mark.parametrize("n,bins", [
+        (512, select_subset(512, 10.0, 0.04)),
+        (1024, select_subset(1024, 10.0, 0.04)),
+        (1024, select_subset(1024, 3.0, 0.01)),
+        (1024, np.sort(np.random.default_rng(30).choice(1023, 600, replace=False))),
+        (200, np.sort(np.random.default_rng(31).choice(199, 17, replace=False))),
+    ], ids=["contiguous_512", "contiguous_1024", "wide_1024", "random_1024",
+            "sparse_200"])
+    def test_offsets_match_exact_sum(self, n, bins):
+        # reference: every angle 2*pi*(s*d mod m)/m reduced exactly in
+        # integers, the terms summed without rounding by math.fsum
+        m = n - 1
+        reduced = np.outer(np.arange(m), bins) % m
+        angle = 2.0 * np.pi * np.where(reduced > m // 2, reduced - m, reduced) / m
+        exact = np.array([complex(math.fsum(c), -math.fsum(s)) / m
+                          for c, s in zip(np.cos(angle), np.sin(angle))])
+        assert np.max(np.abs(_gram_offsets(bins, m) - exact)) <= 1e-15
 
 
 class TestNarrowGuardBand:
