@@ -1,12 +1,10 @@
-"""Greedy line spectral estimation with a known model order, on one QR.
+"""Greedy line spectral estimation with a known model order.
 
-Detection is orthogonal matching pursuit on a growing orthonormal basis.
-Each of up to ``k`` detections takes the peak of an oversampled periodogram
-of the residual, refines that one frequency by a few guarded Newton steps
-and appends its atom to the basis by Gram-Schmidt with one
-re-orthogonalization (the QR factorization of the atom matrix gains one
-column); the residual loses its component along the new direction.
-Detection stops early when that component is at rounding level.
+Detection is orthogonal matching pursuit.  Each of up to ``k`` detections
+takes the peak of an oversampled periodogram of the residual, refines that
+one frequency by a few guarded Newton steps and refits every atom found so
+far by least squares.  Detection stops early when the new atom lowers the
+residual energy only at rounding level.
 
 The frequencies are then refined together by Levenberg-Marquardt variable
 projection (Golub and Pereyra; Kaufman's Jacobian): the amplitudes are
@@ -14,7 +12,8 @@ eliminated, so every iterate carries the exact least-squares fit of its
 frequencies, and a step is taken only if it strictly lowers the residual
 energy.  One exchange step trades the atom that is cheapest to drop for the
 residual's periodogram peak when that gains clearly more than noise could,
-and atoms whose removal loses no fit are dropped.
+and atoms whose removal loses no fit are dropped.  Every least-squares fit
+is one solve on the Gram matrix of the atoms (:func:`_project`).
 """
 
 from __future__ import annotations
@@ -32,8 +31,8 @@ GRID_OVERSAMPLE = 4
 NEWTON_STEPS = 3
 """Cap on the guarded Newton steps on each new atom's frequency."""
 ROUNDING = 1e-13
-"""Relative size at which a new direction, or the residual along it, is
-rounding noise and detection stops."""
+"""A new atom that lowers the residual energy by at most ``(ROUNDING |g|)^2``
+gains only rounding noise, and detection stops."""
 VP_ROUNDS = 10
 """Cap on the variable projection rounds."""
 VP_TOL = 1e-12
@@ -112,49 +111,32 @@ def _peak(resid: np.ndarray):
 
 
 def _detect(g: np.ndarray, k: int):
-    """Detect up to ``k`` atoms greedily on one growing orthonormal basis.
+    """Detect up to ``k`` atoms greedily, refitting all of them each time.
 
-    Each detection is :func:`_peak` of the residual; its atom joins the
-    basis ``Q`` by Gram-Schmidt with one re-orthogonalization, and the
-    residual loses its component along the new direction.  Detection stops
-    early when the new atom is numerically in the span of ``Q`` or the
-    residual's component along it is at rounding level, so an exact fit
+    Each detection is :func:`_peak` of the residual; its atom joins the atom
+    matrix and :func:`_project` refits every atom found so far.  Detection
+    stops early when the new atom lowers the residual energy by no more than
+    ``(ROUNDING |g|)^2`` or makes the Gram matrix singular, so an exact fit
     gains no spurious atom.  Returns the fit ``omegas, a, ginv, coeffs,
-    resid, cost`` of :func:`_vp_refine`, from ``a = Q R``:
-    ``ginv = R^-1 R^-H`` and ``coeffs = R^-1 Q^H g``.
+    resid, cost`` of :func:`_vp_refine`.
     """
     n = g.size
     t = np.arange(n)
     a = np.empty((n, k), dtype=complex)
-    q = np.empty((n, k), dtype=complex)
-    rf = np.zeros((k, k), dtype=complex)
-    z = np.empty(k, dtype=complex)
     omegas = np.empty(k)
-    floor = ROUNDING * float(np.linalg.norm(g))
-    resid = g
-    j = 0
+    floor = (ROUNDING * float(np.linalg.norm(g))) ** 2
+    fit, resid, j = None, g, 0
     while j < k:
-        omega, _ = _peak(resid)
-        col = np.exp(1j * omega * t)
-        basis = q[:, :j]
-        h = basis.conj().T @ col
-        v = col - basis @ h
-        h2 = basis.conj().T @ v
-        v -= basis @ h2
-        norm = float(np.linalg.norm(v))
-        if j and norm <= ROUNDING * np.sqrt(n):
+        omegas[j] = _peak(resid)[0]
+        a[:, j] = np.exp(1j * omegas[j] * t)
+        try:
+            cand = _project(g, a[:, :j + 1])
+        except np.linalg.LinAlgError:  # the new atom is in the span
             break
-        v /= norm
-        zj = np.vdot(v, resid)
-        if j and abs(zj) <= floor:
+        if j and fit[-1] - cand[-1] <= floor:
             break
-        a[:, j], q[:, j], z[j], omegas[j] = col, v, zj, omega
-        rf[:j, j], rf[j, j] = h + h2, norm
-        resid = resid - zj * v
-        j += 1
-    rinv = np.linalg.inv(rf[:j, :j])
-    return (omegas[:j], a[:, :j], rinv @ rinv.conj().T, rinv @ z[:j], resid,
-            float(np.vdot(resid, resid).real))
+        fit, resid, j = cand, cand[2], j + 1
+    return (omegas[:j], a[:, :j], *fit)
 
 
 def _vp_system(a: np.ndarray, ginv: np.ndarray, coeffs: np.ndarray,
@@ -274,8 +256,8 @@ def nomp(g: np.ndarray, k: int) -> LineSpectrum:
     ``g`` must be finite and ``k`` an integer from 1 to ``len(g) / 2``.  The
     schedule is fixed: up to ``k`` detections, each the peak of a
     ``GRID_OVERSAMPLE``-times zero-padded periodogram of the residual with
-    ``NEWTON_STEPS`` guarded Newton steps on its frequency, on one QR
-    factorization that gains a column per detection; then at most
+    ``NEWTON_STEPS`` guarded Newton steps on its frequency and a
+    least-squares refit of all atoms found so far; then at most
     ``VP_ROUNDS`` rounds of variable projection over the frequencies
     (damping divided by 3 after an accepted step, times 10 after a rejected
     one), whose amplitudes are always the exact least-squares fit; one

@@ -6,7 +6,8 @@ guard-band instance; both updates are guarded by a strict decrease of the
 exact objective, evaluated once per candidate.  The accepted folding-count
 differences are then integrated (anti-difference), which leaves a single
 additive Gaussian-integer constant that simulation callers remove against
-ground truth and blind callers remove by a rounded median.  Stage two runs
+ground truth and blind callers remove by the one that leaves the unfolded
+signal with the smallest mean, as its band excludes DC.  Stage two runs
 the Newton-refined greedy estimator on the unfolded signal.
 
 ``METHODS`` maps each method name to the stages it runs; it is the one place
@@ -23,8 +24,8 @@ from .baseline import select_usalg_order, usalg
 from .dp import dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
-from .signals import (LineSpectrum, check_lam_gamma, checked_int, checked_order,
-                      finite_samples, residual_decompose)
+from .signals import (LineSpectrum, check_lam, check_lam_gamma, checked_int,
+                      checked_order, finite_samples, residual_decompose)
 from .transform import (
     QuadraticInstance,
     anti_difference,
@@ -177,17 +178,25 @@ def resolve_constant_with_truth(eps_hat: np.ndarray,
     return eps_hat + _round_gaussian(complex(np.mean(eps_true - eps_hat)))
 
 
-def resolve_constant_blind(eps_hat: np.ndarray) -> np.ndarray:
+def resolve_constant_blind(eps_hat: np.ndarray, y: np.ndarray,
+                           lam: float) -> np.ndarray:
     """Remove the additive constant without ground truth.
 
-    Subtracts the componentwise rounded median, on the grounds that folds
-    are sparse in practice so the median folding count is the baseline.
+    The signal band excludes DC, so the right constant leaves
+    ``g_hat = y + 2 lam eps_hat`` with the smallest mean: subtracts the
+    Gaussian integer nearest to ``mean(y) / (2 lam) + mean(eps_hat)`` (real
+    and imaginary parts rounded separately).  This holds however many
+    samples are folded, as when a strong tone is slow.
     """
     eps_hat = np.asarray(eps_hat, dtype=complex)
+    y = finite_samples(y)
+    check_lam(lam)
     if eps_hat.size == 0:
         raise ValueError("empty estimate")
-    med = complex(np.median(eps_hat.real), np.median(eps_hat.imag))
-    return eps_hat - _round_gaussian(med)
+    if eps_hat.shape != y.shape:
+        raise ValueError("length mismatch")
+    return eps_hat - _round_gaussian(
+        complex(np.mean(y) / (2.0 * lam) + np.mean(eps_hat)))
 
 
 def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
@@ -196,9 +205,9 @@ def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
     """Run the full two-stage recovery on modulo samples.
 
     Serves every entry of ``METHODS``.  The additive constant is always
-    removed blind (rounded median), the only option on real data; ``usalg``
-    picks its difference order from ``y`` for the same reason.  A bad
-    model order ``k`` is rejected before stage one runs.
+    removed blind (:func:`resolve_constant_blind`), the only option on real
+    data; ``usalg`` picks its difference order from ``y`` for the same
+    reason.  A bad model order ``k`` is rejected before stage one runs.
     """
     if cfg is None:
         cfg = PipelineConfig()
@@ -211,7 +220,7 @@ def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
         stage_one = recover_residual(y, cfg, lam, gamma, method)
         eps, trace = stage_one.eps, stage_one.objective_trace
         dp_rejected, omp_rejected = stage_one.dp_rejections, stage_one.omp_rejections
-    eps = resolve_constant_blind(eps)
+    eps = resolve_constant_blind(eps, y, lam)
     g_hat = y + 2.0 * lam * eps
     return RecoveryResult(eps_hat=eps, g_hat=g_hat, spectrum_hat=nomp(g_hat, k),
                           objective_trace=trace, dp_rejections=dp_rejected,

@@ -136,12 +136,6 @@ class QuadraticInstance:
         return np.exp(-2j * np.pi * self.bins * j / self.n_vars) \
             / np.sqrt(self.n_vars)
 
-    def dense_matrix(self) -> np.ndarray:
-        """Dense ``F_s`` (|S| x n_vars); test-scale use only."""
-        m = self.n_vars
-        return np.exp(-2j * np.pi * np.outer(self.bins, np.arange(m)) / m) \
-            / np.sqrt(m)
-
     def q_dense(self) -> np.ndarray:
         """Dense Hermitian Toeplitz ``Q``; test-scale use only."""
         m = self.n_vars

@@ -189,26 +189,38 @@ class TestNomp:
         assert nomp(g, np.int64(2)).order == 2
 
 
+def assert_matches_reference_detection(g, k):
+    # detection is Newton-refined OMP with a full least-squares refit after
+    # every detection
+    omegas, a, ginv, coeffs, resid, cost = _detect(g, k)
+    ref_w, _, ref_c, ref_r = reference_qr_free_detect(g, k)
+    scale = np.linalg.norm(g)
+    np.testing.assert_allclose(omegas, ref_w, rtol=0.0, atol=1e-9)
+    np.testing.assert_allclose(a, _atoms(omegas, g.size), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(coeffs, ref_c, rtol=0.0, atol=1e-8 * scale)
+    np.testing.assert_allclose(resid, ref_r, rtol=0.0, atol=1e-8 * scale)
+    np.testing.assert_allclose(ginv, np.linalg.inv(a.conj().T @ a),
+                               rtol=0.0, atol=1e-8)
+    assert cost == float(np.vdot(resid, resid).real)
+
+
 class TestDetect:
     def test_matches_reference_detection(self):
-        # the one-QR detection equals Newton-refined OMP with a full
-        # least-squares refit after every detection
         rng = np.random.default_rng(87)
         for _ in range(40):
             n = int(rng.integers(4, 300))
             k = int(rng.integers(1, min(n // 2, 8) + 1))
             spec = gen_random_spectrum(k, 2.0, rng)
-            g = add_noise(synth_line_spectral(spec, n), rng.uniform(0.0, 40.0), rng)
-            omegas, a, ginv, coeffs, resid, cost = _detect(g, k)
-            ref_w, _, ref_c, ref_r = reference_qr_free_detect(g, k)
-            scale = np.linalg.norm(g)
-            np.testing.assert_allclose(omegas, ref_w, rtol=0.0, atol=1e-9)
-            np.testing.assert_allclose(a, _atoms(omegas, n), rtol=0.0, atol=1e-12)
-            np.testing.assert_allclose(coeffs, ref_c, rtol=0.0, atol=1e-8 * scale)
-            np.testing.assert_allclose(resid, ref_r, rtol=0.0, atol=1e-8 * scale)
-            np.testing.assert_allclose(ginv, np.linalg.inv(a.conj().T @ a),
-                                       rtol=0.0, atol=1e-8)
-            assert cost == float(np.vdot(resid, resid).real)
+            assert_matches_reference_detection(
+                add_noise(synth_line_spectral(spec, n), rng.uniform(0.0, 40.0), rng), k)
+
+    @pytest.mark.parametrize("n,scenes", [(200, 2), (400, 1)])
+    def test_matches_reference_detection_at_bandlimited_order(self, n, scenes):
+        # the bench's order (n=200, k=20) and twice it
+        rng = np.random.default_rng(88)
+        for _ in range(scenes):
+            g = add_noise(gen_bandlimited(n, 10.0, rng), 30.0, rng)
+            assert_matches_reference_detection(g, n // 10)
 
     @pytest.mark.parametrize("k", [2, 6])
     def test_stops_once_the_fit_is_exact(self, k):

@@ -172,18 +172,42 @@ class TestConstantResolution:
 
     def test_blind_zeroes_constant_sequence(self):
         eps = np.full(16, 2.0 - 1.0j)
-        np.testing.assert_array_equal(resolve_constant_blind(eps),
+        np.testing.assert_array_equal(resolve_constant_blind(eps, np.zeros(16), 0.7),
                                       np.zeros(16, dtype=complex))
 
     def test_blind_keeps_sparse_folds(self):
         eps = np.zeros(32, dtype=complex)
         eps[[3, 17]] = 1.0 + 1j
-        np.testing.assert_array_equal(resolve_constant_blind(eps), eps)
+        np.testing.assert_array_equal(resolve_constant_blind(eps, np.zeros(32), 0.7),
+                                      eps)
 
     def test_blind_removes_offset(self):
         eps = np.zeros(32, dtype=complex)
         eps[[3, 17]] = 1.0
-        np.testing.assert_array_equal(resolve_constant_blind(eps + 4.0), eps)
+        np.testing.assert_array_equal(
+            resolve_constant_blind(eps + 4.0, np.zeros(32), 0.7), eps)
+
+    @pytest.mark.parametrize("bins", [1.2, 1.45, 2.5])
+    def test_blind_finds_the_counts_of_a_slow_strong_tone(self, bins):
+        # a few cycles of a tone at |c| = 3 > lam: most samples are folded,
+        # so the median count is not the constant
+        n, lam = 512, 0.7
+        for phase in np.linspace(0.0, 2.0 * np.pi, 16, endpoint=False):
+            g = synth_line_spectral(
+                LineSpectrum([2.0 * np.pi * bins / n], [3.0 * np.exp(1j * phase)]), n)
+            y = modulo_sample(g, lam)
+            eps = residual_decompose(g, y, lam)
+            np.testing.assert_array_equal(
+                resolve_constant_blind(eps + (2.0 - 1.0j), y, lam), eps)
+
+    @pytest.mark.parametrize("y,lam,message", [
+        (np.zeros(9), 0.7, "length mismatch"),
+        (np.full(8, np.nan), 0.7, "finite"),
+        (np.zeros(8), 0.0, "lam"),
+    ])
+    def test_blind_rejects_bad_input(self, y, lam, message):
+        with pytest.raises(ValueError, match=message):
+            resolve_constant_blind(np.zeros(8), y, lam)
 
 
 class TestFullPipeline:

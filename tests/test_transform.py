@@ -28,6 +28,11 @@ def unitary_dft_matrix(m):
     return np.exp(-2j * np.pi * np.outer(np.arange(m), np.arange(m)) / m) / np.sqrt(m)
 
 
+def dense_fs(inst):
+    """Dense ``F_s`` (|S| x n_vars): the rows of the unitary DFT at the bins."""
+    return unitary_dft_matrix(inst.n_vars)[inst.bins]
+
+
 class TestFirstDifference:
     def test_small_example(self):
         np.testing.assert_array_equal(first_difference(np.array([0, 1, 3])), [1, 2])
@@ -171,7 +176,7 @@ class TestBuildInstance:
 
     def test_gram_matches_dense_product(self):
         inst, _ = make_instance()
-        fs = inst.dense_matrix()
+        fs = dense_fs(inst)
         np.testing.assert_allclose(inst.q_dense(), fs.conj().T @ fs, atol=1e-12)
 
     def test_banded_gram_zeroes_outside_band(self):
@@ -198,7 +203,7 @@ class TestBuildInstance:
 
     def test_linear_term_is_adjoint_of_observation(self):
         inst, _ = make_instance()
-        fs = inst.dense_matrix()
+        fs = dense_fs(inst)
         np.testing.assert_allclose(inst.b, fs.conj().T @ inst.z_s, atol=1e-12)
 
     def test_forward_adjoint_match_dense(self):
@@ -206,7 +211,7 @@ class TestBuildInstance:
         rng = np.random.default_rng(28)
         v = rng.normal(size=inst.n_vars) + 1j * rng.normal(size=inst.n_vars)
         u = rng.normal(size=inst.bins.size) + 1j * rng.normal(size=inst.bins.size)
-        fs = inst.dense_matrix()
+        fs = dense_fs(inst)
         np.testing.assert_allclose(inst.forward(v), fs @ v, atol=1e-12)
         np.testing.assert_allclose(inst.adjoint(u), fs.conj().T @ u, atol=1e-12)
 
@@ -247,7 +252,7 @@ class TestBuildInstance:
         z_new = rng.normal(size=inst.bins.size) + 1j * rng.normal(size=inst.bins.size)
         moved = inst.with_observation(z_new)
         np.testing.assert_array_equal(moved.band, inst.band)
-        fs = inst.dense_matrix()
+        fs = dense_fs(inst)
         np.testing.assert_allclose(moved.b, fs.conj().T @ z_new, atol=1e-12)
 
 
@@ -295,7 +300,7 @@ class TestNarrowGuardBand:
         assert bins.size == size
         g = synth_line_spectral(gen_random_spectrum(1, gamma, rng), n)
         inst = build_instance(modulo_sample(g, lam), lam, bins, p, 1)
-        fs = inst.dense_matrix()
+        fs = dense_fs(inst)
         assert fs.shape == (size, n - 1)
         eps_dp = dp_solve(inst)
         eps_bf = brute_force_solve(inst, use_banded=True)
@@ -316,6 +321,6 @@ class TestExactObjective:
         inst, _ = make_instance()
         rng = np.random.default_rng(30)
         eps = rng.integers(-2, 3, inst.n_vars) + 1j * rng.integers(-2, 3, inst.n_vars)
-        fs = inst.dense_matrix()
+        fs = dense_fs(inst)
         expected = np.linalg.norm(inst.z_s + fs @ eps) ** 2
         assert exact_objective(inst, eps) == pytest.approx(expected, rel=1e-12)
