@@ -10,8 +10,11 @@ ingest      validate an IQ file and print a short summary
 
 The ``experiment`` subcommand reads a ``key = value`` config file (one pair
 per line, ``#`` comments) whose keys name config dataclass fields; its flags
-override the file.  Each subcommand declares only the flags it reads, and
-every default comes from the config dataclasses.  A subcommand that raises
+override the file.  Each subcommand declares only the flags it reads.
+``simulate``, ``recover`` and ``experiment`` lay the flags given over their
+config entries and build every config by :func:`build_experiment_config`, so
+an unset flag keeps its dataclass default and the dataclasses check every
+value; ``recover`` takes ``n`` from its input file.  A subcommand that raises
 ``ValueError`` (``BudgetExceeded`` included) or ``OSError`` is reported as
 one line on stderr, with exit status 2.
 """
@@ -64,9 +67,6 @@ CONFIG_KEYS = {
     "iter_max": ("pipeline", "iter_max", int),
 }
 
-DEFAULTS = {"experiment": ExperimentConfig(), "sampling": SamplingConfig(),
-            "pipeline": PipelineConfig()}
-
 
 def parse_config_file(path) -> dict:
     """Parse ``key = value`` lines into typed config entries."""
@@ -94,7 +94,7 @@ def build_experiment_config(entries: dict) -> ExperimentConfig:
     # A config file that lists snr_grid but omits scenario must still run its
     # grid, so the CLI's scenario is snr_sweep, not the library's single_trial.
     entries = {"scenario": "snr_sweep", **entries}
-    fields: dict = {section: {} for section in DEFAULTS}
+    fields: dict = {"experiment": {}, "sampling": {}, "pipeline": {}}
     for key, value in entries.items():
         section, name, _ = CONFIG_KEYS[key]
         fields[section][name] = value
@@ -109,33 +109,38 @@ FLAGS = {
     "beta": "beta", "snr": "snr_db", "gamma": "gamma", "lambda": "lambda",
     "method": "method",
 }
-EXPERIMENT_FLAGS = ("seed", "trials", "p", "beta", "snr", "gamma", "lambda", "method")
 
 
-def _add_flags(sub: argparse.ArgumentParser, flags, defaults: bool = True) -> None:
-    """Declare ``flags``.  Each is stored under its dataclass field name, with
-    that field's type and, if ``defaults`` is set, its default (else None)."""
+def _add_flags(sub: argparse.ArgumentParser, flags) -> None:
+    """Declare ``flags``.  Each is stored under its config key with that key's
+    type; an unset flag is None."""
     for flag in flags:
         key = FLAGS[flag]
-        section, name, kind = CONFIG_KEYS[key]
-        sub.add_argument(f"--{flag}", dest=name, type=kind,
-                         choices=METHODS if key == "method" else None,
-                         default=getattr(DEFAULTS[section], name) if defaults else None)
+        sub.add_argument(f"--{flag}", dest=key, type=CONFIG_KEYS[key][2],
+                         choices=METHODS if key == "method" else None)
+
+
+def _config(args, entries: dict) -> ExperimentConfig:
+    """Lay every given flag over ``entries`` and build the configs."""
+    given = {key: value for key, value in vars(args).items()
+             if key in CONFIG_KEYS and value is not None}
+    return build_experiment_config({**entries, **given})
 
 
 def _cmd_simulate(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    n, gamma, lam, snr = args.n, args.gamma, args.lam, args.snr_db
-    spectrum = gen_random_spectrum(args.k, gamma, rng,
-                                   min_separation=2.0 * np.pi / n)
-    x = synth_line_spectral(spectrum, n)
-    g = add_noise(x, snr, rng)
-    y = modulo_sample(g, lam)
+    s = _config(args, {}).sampling
+    rng = np.random.default_rng(s.seed)
+    spectrum = gen_random_spectrum(s.k, s.gamma, rng,
+                                   min_separation=2.0 * np.pi / s.n)
+    x = synth_line_spectral(spectrum, s.n)
+    g = add_noise(x, s.snr_db, rng)
+    y = modulo_sample(g, s.lam)
     prefix = Path(args.out)
     write_iq_csv(prefix.with_name(prefix.name + "_unfolded.csv"), g)
     write_iq_csv(prefix.with_name(prefix.name + "_folded.csv"), y)
     print(f"wrote {prefix.name}_unfolded.csv and {prefix.name}_folded.csv "
-          f"(n={n}, k={args.k}, gamma={gamma}, lambda={lam}, snr={snr} dB)")
+          f"(n={s.n}, k={s.k}, gamma={s.gamma}, lambda={s.lam}, "
+          f"snr={s.snr_db} dB)")
     for omega, coeff in zip(spectrum.omegas, spectrum.coeffs):
         print(f"  component: omega={omega:.6f} rad/sample |c|={abs(coeff):.4f}")
     return 0
@@ -143,13 +148,14 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_recover(args) -> int:
     loaded = read_iq_csv(args.input)
-    y = modulo_sample(loaded, args.lam) if args.fold else loaded
+    cfg = _config(args, {"n": len(loaded)})
+    s = cfg.sampling
+    y = modulo_sample(loaded, s.lam) if args.fold else loaded
     start = time.perf_counter()
-    result = recover_line_spectrum(y, args.k, args.gamma, args.lam,
-                                   PipelineConfig(p=args.p, beta=args.beta),
-                                   args.method)
+    result = recover_line_spectrum(y, s.k, s.gamma, s.lam, cfg.pipeline,
+                                   cfg.method)
     elapsed = time.perf_counter() - start
-    print(f"method={args.method} runtime={elapsed:.3f}s")
+    print(f"method={cfg.method} runtime={elapsed:.3f}s")
     spectrum = result.spectrum_hat
     for omega, coeff in zip(spectrum.omegas, spectrum.coeffs):
         print(f"  omega={omega:.8f} rad/sample  |c|={abs(coeff):.6f}  "
@@ -162,12 +168,7 @@ def _cmd_recover(args) -> int:
 
 def _cmd_experiment(args) -> int:
     entries = parse_config_file(args.config) if args.config else {}
-    for flag in EXPERIMENT_FLAGS:
-        key = FLAGS[flag]
-        value = getattr(args, CONFIG_KEYS[key][1])
-        if value is not None:
-            entries[key] = value
-    cfg = build_experiment_config(entries)
+    cfg = _config(args, entries)
     points = run_sweep(cfg)
     out_prefix = Path(args.out)
     all_results = [r for pt in points for r in pt.results]
@@ -221,8 +222,8 @@ def main(argv=None) -> int:
     exp = subs.add_parser("experiment", help="run sweeps from a config file")
     exp.add_argument("--config", default=None)
     exp.add_argument("--out", required=True, help="output path prefix")
-    # None marks an unset flag, which leaves the config file's value in force
-    _add_flags(exp, EXPERIMENT_FLAGS, defaults=False)
+    _add_flags(exp, ("seed", "trials", "p", "beta", "snr", "gamma", "lambda",
+                     "method"))
     exp.set_defaults(func=_cmd_experiment)
 
     prop = subs.add_parser("prop-check", help="run the analytic property suites")

@@ -35,6 +35,7 @@ from .signals import (
     SamplingConfig,
     add_noise,
     bandlimited_bins,
+    checked_int,
     gen_bandlimited,
     gen_random_spectrum,
     modulo_sample,
@@ -94,9 +95,9 @@ class ExperimentConfig:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; "
                              f"expected one of {tuple(METHODS)}")
-        if self.trials < 1:
+        if checked_int("trials", self.trials) < 1:
             raise ValueError("trials must be >= 1")
-        if self.parallelism < 1:
+        if checked_int("parallelism", self.parallelism) < 1:
             raise ValueError("parallelism must be >= 1")
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = [
+    "NOISELESS",
     "LineSpectrum",
     "SamplingConfig",
     "synth_line_spectral",
@@ -71,6 +72,12 @@ def check_lam_gamma(lam: float, gamma: float) -> None:
         raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
 
 
+def check_snr(snr_db: float) -> None:
+    """Reject an SNR that is NaN or ``-inf``; ``+inf`` is :data:`NOISELESS`."""
+    if np.isnan(snr_db) or snr_db == -np.inf:
+        raise ValueError(f"snr_db must be a number or +inf (noiseless), got {snr_db!r}")
+
+
 def finite_samples(x) -> np.ndarray:
     """Return ``x`` as a complex array, rejecting any non-finite sample."""
     x = np.asarray(x, dtype=complex)
@@ -113,10 +120,12 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n < 2:
+        if checked_int("n", self.n) < 2:
             raise ValueError("n must be >= 2")
         check_lam_gamma(self.lam, self.gamma)
         checked_order(self.k, self.n)
+        check_snr(self.snr_db)
+        checked_int("seed", self.seed)
 
 
 def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:
@@ -218,11 +227,13 @@ def add_noise(x: np.ndarray, snr_db: float, rng: np.random.Generator) -> np.ndar
     """Add circular complex white Gaussian noise at the requested SNR.
 
     The per-sample noise variance is ``norm(x)^2 / (N * 10^(snr_db/10))``,
-    split equally between real and imaginary parts.  ``snr_db = inf`` returns
-    ``x`` unchanged (explicit noiseless mode).
+    split equally between real and imaginary parts.  ``snr_db = inf``
+    (:data:`NOISELESS`) returns ``x`` unchanged; a NaN or ``-inf`` SNR raises
+    ``ValueError``.
     """
+    check_snr(snr_db)
     x = np.asarray(x, dtype=complex)
-    if np.isinf(snr_db):
+    if snr_db == NOISELESS:
         return x.copy()
     energy = float(np.linalg.norm(x) ** 2)
     if energy == 0.0:

@@ -157,6 +157,25 @@ class TestCliCommands:
         assert err == ("modlse recover: error: lam must be finite and "
                        "positive, got -1.0\n")
 
+    def test_simulate_checks_its_scene_like_the_config(self, tmp_path, capsys):
+        assert main(["simulate", "--gamma", "1.0",
+                     "--out", str(tmp_path / "scene")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("modlse simulate: error: gamma must be finite and "
+                       "exceed 1, got 1.0\n")
+        assert not (tmp_path / "scene_folded.csv").exists()
+
+    def test_recover_takes_n_from_its_input(self, tmp_path, capsys):
+        # k=300 exceeds half the default n=512 but not half the file's 1024
+        prefix = tmp_path / "scene"
+        assert main(["simulate", "--n", "1024", "--k", "1", "--seed", "2",
+                     "--snr", "inf", "--out", str(prefix)]) == 0
+        omega = float(capsys.readouterr().out.split("omega=")[1].split()[0])
+        assert main(["recover", str(tmp_path / "scene_folded.csv"),
+                     "--k", "300"]) == 0
+        found = float(capsys.readouterr().out.split("omega=")[1].split()[0])
+        assert abs(found - omega) < 1e-6
+
     def test_missing_input_is_one_line_error(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert main(["recover", str(missing)]) == 2

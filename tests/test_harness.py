@@ -69,6 +69,11 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             small_config(scenario="dreams")
 
+    @pytest.mark.parametrize("field", ["trials", "parallelism"])
+    def test_rejects_non_integer_count(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got 1.5"):
+            small_config(**{field: 1.5})
+
     def test_solver_budget_violation_scores_as_failure(self):
         # v_bound=3, p=4 blows the enumeration budget; the trial must come
         # back as a failed result instead of raising

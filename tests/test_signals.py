@@ -131,6 +131,16 @@ class TestSamplingConfig:
         with pytest.raises(ValueError, match=message):
             SamplingConfig(n=512, k=k)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("n", 64.5, "n must be an integer, got 64.5"),
+        ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("snr_db", np.nan, "snr_db must be a number or \\+inf"),
+        ("snr_db", -np.inf, "snr_db must be a number or \\+inf"),
+    ])
+    def test_rejects_bad_field(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            SamplingConfig(**{field: value})
+
 
 class TestBandlimited:
     def test_spectral_support(self):
@@ -197,6 +207,11 @@ class TestAddNoise:
     def test_rejects_zero_signal(self):
         with pytest.raises(ValueError):
             add_noise(np.zeros(8, dtype=complex), 20.0, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("snr_db", [np.nan, -np.inf])
+    def test_rejects_nan_and_negative_infinite_snr(self, snr_db):
+        with pytest.raises(ValueError, match="snr_db must be a number or \\+inf"):
+            add_noise(np.ones(8, dtype=complex), snr_db, np.random.default_rng(0))
 
 
 class TestCenteredModulo:
