@@ -29,6 +29,7 @@ from .transform import QuadraticInstance
 
 __all__ = [
     "BudgetExceeded",
+    "check_dp_budget",
     "DpStats",
     "state_alphabet",
     "banded_objective",
@@ -80,6 +81,12 @@ def _check_budget(entries: int) -> None:
         )
 
 
+def check_dp_budget(p: int, v_bound: int) -> None:
+    """Raise :class:`BudgetExceeded` if a :func:`dp_solve` stage table,
+    ``(2V+1)^(2(p+1))`` entries, would exceed the budget."""
+    _check_budget((2 * v_bound + 1) ** (2 * (p + 1)))
+
+
 def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
     """Globally minimize the band-truncated objective over bounded states.
 
@@ -99,9 +106,9 @@ def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
         raise ValueError(f"non-finite linear term at index {bad[0]}")
     if m <= p + 1:
         raise ValueError("instance too short for this band order")
+    check_dp_budget(p, v)
     states = state_alphabet(v)
     bsz = states.size
-    _check_budget(bsz ** (p + 1))
 
     n_stages = m - p
     band = inst.band

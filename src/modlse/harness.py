@@ -12,7 +12,7 @@ import csv
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +23,7 @@ from .bounds import (
     leakage_bound,
     residual_state_bound,
 )
-from .dp import BudgetExceeded
+from .dp import check_dp_budget
 from .lse import nmse, nomp
 from .pipeline import (
     METHODS,
@@ -42,7 +42,7 @@ from .signals import (
     residual_decompose,
     synth_line_spectral,
 )
-from .transform import dft, first_difference
+from .transform import dft, first_difference, select_subset
 from .baseline import select_usalg_order, usalg
 
 __all__ = [
@@ -67,13 +67,11 @@ SCENARIOS = {
     "bandlimited_sweep": ("snr_db", "snr_grid"),
 }
 
-RESULT_COLUMNS = ("trial_id", "seed", "method", "p", "beta", "snr_db",
-                  "nmse_db", "success", "failed", "runtime_s")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one experiment run."""
+    """Complete description of one experiment run; a config that no trial
+    could run is rejected before any trial runs."""
 
     scenario: str = "single_trial"
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -99,15 +97,22 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if checked_int("parallelism", self.parallelism) < 1:
             raise ValueError("parallelism must be >= 1")
+        if not np.isfinite(self.success_threshold_db):
+            raise ValueError("success_threshold_db must be finite, got "
+                             f"{self.success_threshold_db!r}")
+        if METHODS[self.method].dp:
+            check_dp_budget(self.pipeline.p, self.pipeline.v_bound)
+            # beta_grid, read by beta_sweep alone, replaces pipeline.beta
+            for beta in self.beta_grid or (self.pipeline.beta,):
+                select_subset(self.sampling.n, self.sampling.gamma, beta)
+        elif self.scenario == "beta_sweep":
+            raise ValueError(f"scenario 'beta_sweep' sweeps beta, which method "
+                             f"{self.method!r} never reads")
 
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One recovery attempt, scored.
-
-    A ``failed`` trial never ran its solve (:class:`BudgetExceeded`); it keeps
-    ``nmse_db == 0.0`` and ``success=False``, and sweep means leave it out.
-    """
+    """One recovery attempt, scored."""
 
     trial_id: int
     seed: int
@@ -117,13 +122,12 @@ class TrialResult:
     snr_db: float
     nmse_db: float
     success: bool
-    failed: bool
     runtime_s: float
 
     def as_row(self) -> list:
         return [self.trial_id, self.seed, self.method, self.p,
                 f"{self.beta:.6g}", f"{self.snr_db:.6g}",
-                f"{self.nmse_db:.6f}", int(self.success), int(self.failed),
+                f"{self.nmse_db:.6f}", int(self.success),
                 f"{self.runtime_s:.6f}"]
 
 
@@ -140,9 +144,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     noise-free signal, after resolving the folding-count constant against
     ground truth.  Bandlimited scenes are scored through the same spectral
     fit with the model order set to the number of active bins
-    (:func:`bandlimited_bins`).  Solver budget violations (:class:`BudgetExceeded`)
-    come back as ``failed`` trials rather than aborting the batch; any other
-    error propagates.
+    (:func:`bandlimited_bins`).  Every error propagates: a config no trial
+    could run is rejected by :class:`ExperimentConfig` before any trial runs.
     """
     rng, seed = _trial_rng(cfg, point_index, trial_index)
     samp = cfg.sampling
@@ -160,47 +163,38 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
 
     pipe = cfg.pipeline
     start = time.perf_counter()
-    failed = False
-    try:
-        if METHODS[cfg.method].usalg:
-            # oracle: the difference order is picked from the unfolded g,
-            # which a real capture does not have (recover_line_spectrum
-            # picks it from y)
-            g_hat = usalg(y, samp.lam, select_usalg_order(g))
-            eps_hat = residual_decompose(g_hat, y, samp.lam)
-        else:
-            eps_hat = recover_residual(y, pipe, samp.lam, samp.gamma,
-                                       cfg.method).eps
-        # sweeps score against the truth, so they resolve the constant with it
-        eps_hat = resolve_constant_with_truth(eps_hat, eps_true)
-        g_hat = y + 2.0 * samp.lam * eps_hat
-        estimate = nomp(g_hat, k_model)
-        x_hat = synth_line_spectral(estimate, samp.n)
-        score = nmse(x_hat, x)
-    except BudgetExceeded:
-        score, failed = 0.0, True  # the instance is too large to solve
+    if METHODS[cfg.method].usalg:
+        # oracle: the difference order is picked from the unfolded g,
+        # which a real capture does not have (recover_line_spectrum
+        # picks it from y)
+        g_hat = usalg(y, samp.lam, select_usalg_order(g))
+        eps_hat = residual_decompose(g_hat, y, samp.lam)
+    else:
+        eps_hat = recover_residual(y, pipe, samp.lam, samp.gamma,
+                                   cfg.method).eps
+    # sweeps score against the truth, so they resolve the constant with it
+    eps_hat = resolve_constant_with_truth(eps_hat, eps_true)
+    g_hat = y + 2.0 * samp.lam * eps_hat
+    estimate = nomp(g_hat, k_model)
+    x_hat = synth_line_spectral(estimate, samp.n)
+    score = nmse(x_hat, x)
     runtime = time.perf_counter() - start
 
     return TrialResult(trial_id=trial_index, seed=seed, method=cfg.method,
                        p=pipe.p, beta=pipe.beta, snr_db=samp.snr_db,
                        nmse_db=score,
-                       success=not failed and bool(score < cfg.success_threshold_db),
-                       failed=failed, runtime_s=runtime)
+                       success=bool(score < cfg.success_threshold_db),
+                       runtime_s=runtime)
 
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """Aggregate over the trials of one grid point.
-
-    ``mean_nmse_db`` averages the trials that did not fail; it is NaN when
-    all ``failed`` of them did.
-    """
+    """Aggregate over the trials of one grid point."""
 
     axis: str
     value: float
     method: str
     trials: int
-    failed: int
     success_rate: float
     mean_nmse_db: float
     mean_runtime_s: float
@@ -246,12 +240,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     points: list[SweepPoint] = []
     for point_index, value in enumerate(grid):
         results = rows[point_index * cfg.trials:(point_index + 1) * cfg.trials]
-        scored = [r.nmse_db for r in results if not r.failed]
         points.append(SweepPoint(
             axis=axis, value=float(value), method=cfg.method,
-            trials=cfg.trials, failed=len(results) - len(scored),
+            trials=cfg.trials,
             success_rate=float(np.mean([r.success for r in results])),
-            mean_nmse_db=float(np.mean(scored)) if scored else float("nan"),
+            mean_nmse_db=float(np.mean([r.nmse_db for r in results])),
             mean_runtime_s=float(np.mean([r.runtime_s for r in results])),
             results=results))
     return points
@@ -419,24 +412,13 @@ def write_trials_csv(path, results: list[TrialResult]) -> None:
     path = Path(path)
     with path.open("w", newline="\n") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(RESULT_COLUMNS)
+        writer.writerow([f.name for f in fields(TrialResult)])
         for r in results:
             writer.writerow(r.as_row())
 
 
 def write_summary_json(path, points: list[SweepPoint]) -> None:
-    payload = [
-        {
-            "axis": pt.axis,
-            "value": pt.value,
-            "method": pt.method,
-            "trials": pt.trials,
-            "failed": pt.failed,
-            "success_rate": pt.success_rate,
-            # JSON has no NaN: a point whose trials all failed has no mean
-            "mean_nmse_db": None if np.isnan(pt.mean_nmse_db) else pt.mean_nmse_db,
-            "mean_runtime_s": pt.mean_runtime_s,
-        }
-        for pt in points
-    ]
+    # every field of each point but its trial rows
+    payload = [{key: value for key, value in vars(pt).items() if key != "results"}
+               for pt in points]
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

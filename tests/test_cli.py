@@ -147,6 +147,17 @@ class TestCliCommands:
                        "read beta_grid\n")
         assert not (tmp_path / "x_trials.csv").exists()
 
+    def test_experiment_over_budget_is_one_line_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("p = 4\nv = 3\nsnr_grid = 30\n")
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("modlse experiment: error: state-space "
+                              "enumeration of 282475249 entries exceeds")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "x_trials.csv").exists()
+
     def test_recover_bad_lambda_is_one_line_error(self, tmp_path, capsys):
         prefix = tmp_path / "scene"
         main(["simulate", "--n", "64", "--k", "1", "--out", str(prefix)])
@@ -164,6 +175,13 @@ class TestCliCommands:
         assert err == ("modlse simulate: error: gamma must be finite and "
                        "exceed 1, got 1.0\n")
         assert not (tmp_path / "scene_folded.csv").exists()
+
+    def test_simulate_checks_no_recovery_config(self, tmp_path, capsys):
+        # the default beta=0.04 lies below 1/(n-1) at n=20, but simulate
+        # recovers nothing, so it writes the scene
+        assert main(["simulate", "--n", "20", "--k", "1",
+                     "--out", str(tmp_path / "scene")]) == 0
+        assert (tmp_path / "scene_folded.csv").exists()
 
     def test_recover_takes_n_from_its_input(self, tmp_path, capsys):
         # k=300 exceeds half the default n=512 but not half the file's 1024
@@ -213,8 +231,10 @@ class TestCliCommands:
         payload = json.loads(summary.read_text())
         assert payload[0]["method"] == "dp_omp_iter"
         assert payload[0]["trials"] == 2
-        assert payload[0]["failed"] == 0
-        assert "(2 trials, 0 failed)" in capsys.readouterr().out
+        assert list(payload[0]) == ["axis", "value", "method", "trials",
+                                    "success_rate", "mean_nmse_db",
+                                    "mean_runtime_s"]
+        assert "(2 trials)" in capsys.readouterr().out
 
     def test_experiment_flag_overrides(self, tmp_path, capsys):
         prefix = tmp_path / "run"

@@ -1,11 +1,12 @@
 import dataclasses
-import json
 
 import numpy as np
 import pytest
 
 from modlse import harness
 from modlse import (
+    METHODS,
+    BudgetExceeded,
     ExperimentConfig,
     PipelineConfig,
     SamplingConfig,
@@ -14,7 +15,6 @@ from modlse import (
     run_sweep,
     run_trial,
     write_iq_csv,
-    write_summary_json,
     write_trials_csv,
 )
 
@@ -74,18 +74,15 @@ class TestRunTrial:
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got 1.5"):
             small_config(**{field: 1.5})
 
-    def test_solver_budget_violation_scores_as_failure(self):
-        # v_bound=3, p=4 blows the enumeration budget; the trial must come
-        # back as a failed result instead of raising
-        cfg = small_config(pipeline=PipelineConfig(p=4, v_bound=3, beta=0.05))
-        result = run_trial(cfg, 0)
-        assert not result.success
-        assert result.nmse_db == 0.0
-        assert result.failed
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf])
+    def test_non_finite_success_threshold_rejected(self, threshold):
+        # NaN would fail every trial and +inf pass every one
+        with pytest.raises(ValueError, match="success_threshold_db must be finite"):
+            small_config(success_threshold_db=threshold)
 
     def test_other_value_errors_propagate(self, monkeypatch):
-        # only a budget violation is a scored failure; any other ValueError
-        # from the pipeline is a fault and must escape the trial
+        # run_trial catches nothing: a ValueError from the pipeline is a
+        # fault and must escape the trial, not become a scored row
         def broken(*args, **kwargs):
             raise ValueError("pipeline fault")
 
@@ -117,7 +114,6 @@ class TestRunSweep:
         assert [pt.value for pt in points] == [30.0, 5.0]
         for pt in points:
             assert pt.trials == 3
-            assert pt.failed == 0
             assert 0.0 <= pt.success_rate <= 1.0
             assert len(pt.results) == 3
 
@@ -130,22 +126,41 @@ class TestRunSweep:
                                                    k=2, snr_db=30.0, seed=42))
         point = run_sweep(cfg)[0]
         assert point.trials == 2
-        assert point.failed == 0
         assert np.isfinite(point.mean_nmse_db)
 
-    def test_failed_trials_left_out_of_mean(self, tmp_path):
-        # every trial blows the enumeration budget: no NMSE to average
-        cfg = small_config(scenario="snr_sweep", snr_grid=(30.0,), trials=2,
-                           pipeline=PipelineConfig(p=4, v_bound=3, beta=0.05))
-        points = run_sweep(cfg)
-        assert points[0].failed == 2
-        assert np.isnan(points[0].mean_nmse_db)
-        assert all(r.failed and r.nmse_db == 0.0 for r in points[0].results)
-        path = tmp_path / "summary.json"
-        write_summary_json(path, points)
-        payload = json.loads(path.read_text())
-        assert payload[0]["failed"] == 2
-        assert payload[0]["mean_nmse_db"] is None
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_over_budget_pipeline_rejected_for_dp_methods(self, method):
+        # p=4 with v_bound=3 blows the DP's enumeration budget, so no trial
+        # of a DP method could run; the other methods never run the DP
+        pipe = PipelineConfig(p=4, v_bound=3, beta=0.05)
+        kwargs = dict(method=method, pipeline=pipe, scenario="snr_sweep",
+                      snr_grid=(30.0,), trials=2)
+        if METHODS[method].dp:
+            with pytest.raises(BudgetExceeded, match="exceeds budget"):
+                small_config(**kwargs)
+            return
+        points = run_sweep(small_config(**kwargs))
+        assert len(points[0].results) == 2
+        assert np.isfinite(points[0].mean_nmse_db)
+
+    @pytest.mark.parametrize("method", ["omp_only", "usalg"])
+    def test_beta_sweep_of_method_without_beta_rejected(self, method):
+        # its points would differ only in their label
+        with pytest.raises(ValueError, match=f"scenario 'beta_sweep' sweeps "
+                           f"beta, which method '{method}' never reads"):
+            small_config(scenario="beta_sweep", beta_grid=(0.03, 0.08),
+                         method=method)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(pipeline=PipelineConfig(p=2, beta=0.9)),
+        dict(scenario="beta_sweep", beta_grid=(0.03, 0.06, 0.9)),
+    ])
+    def test_inadmissible_beta_rejected_before_any_trial(self, overrides):
+        with pytest.raises(ValueError,
+                           match=r"beta=0\.9 outside admissible interval"):
+            small_config(**overrides)
+        # a method without the DP never selects the guard band by beta
+        small_config(method="omp_only", pipeline=PipelineConfig(p=2, beta=0.9))
 
     def test_parallelism_invariance(self):
         # two points, so pooled rows must stay in place across the boundary
@@ -243,7 +258,7 @@ class TestTrialCsv:
         write_trials_csv(path_a, results)
         header = path_a.read_text().splitlines()[0]
         assert header == ("trial_id,seed,method,p,beta,snr_db,nmse_db,success,"
-                          "failed,runtime_s")
+                          "runtime_s")
         # identical reruns agree in every column except runtime_s
         rerun = [run_trial(cfg, t) for t in range(2)]
         path_b = tmp_path / "b.csv"
