@@ -120,6 +120,30 @@ def _add_flags(sub: argparse.ArgumentParser, flags) -> None:
                          choices=METHODS if key == "method" else None)
 
 
+def _attach_signed_values(argv: list) -> list:
+    """Write ``--flag -inf`` as ``--flag=-inf`` for a declared flag.
+
+    argparse reads a value that starts with ``-`` and is not a plain decimal
+    (``-inf``, ``-1e3``) as an option, so without this it would never reach
+    the config check."""
+    out: list = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and out[-1][2:] in FLAGS \
+                and arg.startswith("-") and _is_number(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def _given(args) -> dict:
     """The config entries of the flags given."""
     return {key: value for key, value in vars(args).items()
@@ -237,7 +261,8 @@ def main(argv=None) -> int:
     ing.add_argument("input")
     ing.set_defaults(func=_cmd_ingest)
 
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_attach_signed_values(
+        sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except (OSError, ValueError) as exc:  # BudgetExceeded is a ValueError

@@ -12,11 +12,13 @@ the leading variable most significant, and ties are broken by the smallest
 flat index, i.e. lexicographically by (real part, imaginary part) per
 variable.  Each forward stage eliminates one variable: it broadcasts the
 previous value table against the stage's coupling and linear terms into a
-``(B, B^p)`` table (eliminated state by key of the next ``p`` states), takes
-the column minima as the next value table, and records the first minimizing
-state of every column.  That argmin table, in the smallest integer dtype that
-can hold a state index, is the only per-stage state kept for the backward
-pass; the float tables are buffers reused from stage to stage.
+``(B, B^p)`` buffer (eliminated state by key of the next ``p`` states) and
+takes the column minima as the next value table.  Every stage's value table is
+kept, ``(n_vars - p) * B^p`` float64 entries (26.6 MB at ``n_vars = 511``,
+``p = 4``, ``V = 1``); no argmin is stored.  The backward pass re-evaluates
+the one column of each stage that the states chosen after it select, with the
+forward pass's arithmetic in the same order, and takes its first minimizing
+state.  The ``(B, B^p)`` buffer is reused from stage to stage.
 """
 
 from __future__ import annotations
@@ -91,8 +93,10 @@ def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
     """Globally minimize the band-truncated objective over bounded states.
 
     Runs the forward value recursion over stage tables keyed by ``p``-tuples
-    of states, enumerates the trailing ``(p+1)``-variable block exactly, and
-    backtracks through the recorded argmins.  Iterative re-centering passes
+    of states, keeping each stage's value table (``(n_vars - p) * B^p``
+    float64 entries in all), enumerates the trailing ``(p+1)``-variable block
+    exactly, and backtracks by re-evaluating one stage column per variable
+    against the kept values.  Iterative re-centering passes
     an instance re-observed around the current estimate
     (:meth:`QuadraticInstance.with_observation`).
 
@@ -125,25 +129,18 @@ def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
     # lin[i, s]: diagonal plus linear term of variable i in state s.
     lin = base_quad[None, :] + 2.0 * np.real(np.conj(states)[None, :] * b[:, None])
 
-    # Stage k: stage[s, key] = (value[s, key // B] + cross[s, key]) + lin[k, s],
-    # where s is the state of variable k and value is keyed by the states of
-    # variables k..k+p-1.  The first minimizing s is B - max_s(rank[s]) over
-    # the rows that attain the column minimum, with rank = B..1.
-    value = np.zeros(bsz ** p)
+    # Stage k: stage[s, key] = (values[k, s * B^(p-1) + key // B] + cross[s, key])
+    # + lin[k, s], where s is the state of variable k and values[k] is keyed
+    # by the states of variables k..k+p-1.  Its column minima are values[k+1].
+    values = np.empty((n_stages, bsz ** p))
+    values[0] = 0.0
     stage = np.empty((bsz, bsz ** p))
-    hits = np.empty((bsz, bsz ** p), dtype=bool)
-    ranked = np.empty((bsz, bsz ** p), dtype=np.min_scalar_type(bsz))
-    rank = np.arange(bsz, 0, -1, dtype=ranked.dtype)[:, None]
-    argmins = np.empty((n_stages - 1, bsz ** p), dtype=np.min_scalar_type(bsz - 1))
     cross3 = cross.reshape(bsz, bsz ** (p - 1), bsz)
     stage3 = stage.reshape(cross3.shape)
     for k in range(n_stages - 1):
-        np.add(value.reshape(bsz, bsz ** (p - 1), 1), cross3, out=stage3)
+        np.add(values[k].reshape(bsz, bsz ** (p - 1), 1), cross3, out=stage3)
         stage += lin[k][:, None]
-        value = stage.min(axis=0)
-        np.equal(stage, value, out=hits)
-        np.multiply(hits, rank, out=ranked)
-        np.subtract(bsz, ranked.max(axis=0), out=argmins[k])
+        np.minimum.reduce(stage, axis=0, out=values[k + 1])
     evaluated = (n_stages - 1) * stage.size
 
     # Trailing block: enumerate all (p+1)-tuples, axis i = variable
@@ -160,7 +157,7 @@ def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
             shape = [1] * (p + 1)
             shape[i], shape[j] = bsz, bsz
             tail = tail + pair.reshape(shape)
-    total = value[:, None] + tail.reshape(bsz ** p, bsz)
+    total = values[-1][:, None] + tail.reshape(bsz ** p, bsz)
     evaluated += total.size
     best = int(np.argmin(total))
 
@@ -169,9 +166,13 @@ def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
     for i in range(p + 1):
         digit, rem = divmod(rem, bsz ** (p - i))
         eps[n_stages - 1 + i] = states[digit]
+    # Backtrack: re-evaluate the one stage column the next states select, in
+    # the forward pass's order of operations, so argmin finds the same first
+    # minimizing state.
     key = best // bsz
     for k in range(n_stages - 2, -1, -1):
-        s = int(argmins[k][key])
+        s = int(np.argmin((values[k, key // bsz::bsz ** (p - 1)] + cross[:, key])
+                          + lin[k]))
         eps[k] = states[s]
         key = s * bsz ** (p - 1) + key // bsz
 

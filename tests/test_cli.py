@@ -176,6 +176,22 @@ class TestCliCommands:
                        "exceed 1, got 1.0\n")
         assert not (tmp_path / "scene_folded.csv").exists()
 
+    @pytest.mark.parametrize("argv", [["--snr", "-inf"], ["--snr=-inf"]])
+    def test_simulate_negative_infinite_snr_reaches_the_check(
+            self, argv, tmp_path, capsys):
+        # argparse alone reads "-inf" after "--snr" as an option
+        assert main(["simulate", *argv, "--out", str(tmp_path / "scene")]) == 2
+        err = capsys.readouterr().err
+        assert err == ("modlse simulate: error: snr_db must be a number or +inf "
+                       "(noiseless), got -inf\n")
+        assert not (tmp_path / "scene_folded.csv").exists()
+
+    @pytest.mark.parametrize("argv", [["--snr", "-1e3"], ["--snr=-1e3"]])
+    def test_simulate_takes_a_negative_exponent_snr(self, argv, tmp_path, capsys):
+        assert main(["simulate", "--n", "64", "--k", "1", *argv,
+                     "--out", str(tmp_path / "scene")]) == 0
+        assert "snr=-1000.0 dB" in capsys.readouterr().out
+
     def test_simulate_checks_no_recovery_config(self, tmp_path, capsys):
         # the default beta=0.04 lies below 1/(n-1) at n=20, but simulate
         # recovers nothing, so it writes the scene

@@ -61,10 +61,13 @@ class TestDecomposition:
                 assert banded_objective(inst, eps) == pytest.approx(direct, abs=1e-10)
 
     def test_rejects_oversized_band(self):
+        # n_vars = p + 1 leaves no forward stage
         rng = np.random.default_rng(53)
-        inst = random_instance(5, 3, 1, rng)  # n_vars=4 <= p+1
-        with pytest.raises(ValueError, match="instance too short"):
-            dp_solve(inst)
+        for p in (3, 1, 2):
+            inst = random_instance(p + 2, p, 1, rng)
+            assert inst.n_vars == p + 1
+            with pytest.raises(ValueError, match="instance too short"):
+                dp_solve(inst)
 
 
 def exhaustive_minimum(inst, banded=True):
@@ -264,8 +267,8 @@ class TestMatchesReferenceSolver:
         # zero, integer and half-integer observations and linear terms; on a
         # dyadic band every stage sum is exact, so candidates tie exactly
         rng = np.random.default_rng(72)
-        dyadic = np.array([2.0, 0.5 + 0.5j, -0.25, 0.25j])
-        for p in (1, 2, 3):
+        dyadic = np.array([2.0, 0.5 + 0.5j, -0.25, 0.25j, -0.125 + 0.125j])
+        for p in (1, 2, 3, 4):
             inst = random_instance(13, p, 1, rng, randomize_obs=False)
             size = inst.bins.size
             z = scale * (rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size))
@@ -276,7 +279,7 @@ class TestMatchesReferenceSolver:
             assert_matches_reference(
                 dataclasses.replace(inst, band=dyadic[:p + 1], b=b))
 
-    @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (3, 1), (2, 2)])
+    @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])
     def test_all_tied_tables_pick_smallest_index(self, p, v):
         # with no coupling and a real linear term every stage column ties
         # across the imaginary parts, so the tie-break alone fixes them:
@@ -290,6 +293,19 @@ class TestMatchesReferenceSolver:
         eps = assert_matches_reference(
             dataclasses.replace(flat, b=np.zeros(inst.n_vars, dtype=complex)))
         np.testing.assert_array_equal(eps, np.full(inst.n_vars, -v - 1j * v))
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [2, 3])
+    def test_shortest_instances(self, p, extra):
+        # n_vars = p + 2: one forward stage and one backtrack step;
+        # n_vars = p + 3: two of each
+        rng = np.random.default_rng(75 + 10 * p + extra)
+        for _ in range(4):
+            inst = random_instance(p + extra + 1, p, 1, rng)
+            assert inst.n_vars == p + extra
+            eps = assert_matches_reference(inst)
+            assert banded_objective(inst, eps) == pytest.approx(
+                banded_objective(inst, brute_force_solve(inst)), abs=1e-9)
 
     def test_reference_scenes(self):
         # n=512, k=3, p=3: the scene of the paper's reference experiment,
