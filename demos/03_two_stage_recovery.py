@@ -51,7 +51,7 @@ for true_w in np.sort(spectrum.omegas):
     print(f"   {true_w:.6f}        {nearest:.6f}")
 
 print("\n=== higher-order-difference baseline on the same scene ===")
-order = select_usalg_order(g)
+order = select_usalg_order(y, lam)  # from the modulo samples alone
 g_base = usalg(y, lam, order)
 eps_base = resolve_constant_with_truth(residual_decompose(g_base, y, lam), eps_true)
 x_base = synth_line_spectral(nomp(y + 2 * lam * eps_base, k), n)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import centered_modulo
+from .signals import centered_modulo, checked_int, finite_samples
 from .transform import anti_difference
 
 __all__ = ["usalg", "select_usalg_order"]
@@ -52,31 +52,35 @@ def usalg(y: np.ndarray, lam: float, order_d: int = 1) -> np.ndarray:
     stays inside ``[-lam, lam)`` componentwise; outside that regime the
     output is simply wrong and the caller is expected to score it.
     """
+    order_d = checked_int("difference order", order_d)
     if order_d < 1:
         raise ValueError("difference order must be >= 1")
-    y = np.asarray(y, dtype=complex)
+    y = finite_samples(y)
     if y.size <= order_d:
         raise ValueError("record too short for this difference order")
     return _recover_real(y.real, lam, order_d) \
         + 1j * _recover_real(y.imag, lam, order_d)
 
 
-def select_usalg_order(g_or_y: np.ndarray) -> int:
-    """Difference order up to ``MAX_ORDER`` minimizing the larger of the two
-    component sup norms.
+def select_usalg_order(y: np.ndarray, lam: float) -> int:
+    """Difference order up to ``MAX_ORDER`` minimizing the sup norm over both
+    components of the differences re-folded into ``[-lam, lam)``, the re-fold
+    :func:`usalg` applies at its top order.
 
+    Differences of the modulo samples and of the signal they fold differ by
+    multiples of ``2*lam``, so the rule picks the same order from either.
     Ties break toward the smallest order.  White noise grows by sqrt(2) per
     difference, so noisy records select low orders; smooth oversampled
     records shrink under differencing and select high ones.
     """
-    v = np.asarray(g_or_y, dtype=complex)
+    y = finite_samples(y)
+    parts = np.stack([y.real, y.imag])
     best_order, best_val = 1, np.inf
-    re, im = v.real, v.imag
     for d in range(1, MAX_ORDER + 1):
-        re, im = np.diff(re), np.diff(im)
-        if re.size == 0:
+        parts = np.diff(parts)
+        if parts.size == 0:
             break
-        val = max(float(np.max(np.abs(re))), float(np.max(np.abs(im))))
+        val = float(np.max(np.abs(centered_modulo(parts, lam))))
         if val < best_val:
             best_val, best_order = val, d
     return best_order

@@ -43,7 +43,6 @@ from .signals import (
     synth_line_spectral,
 )
 from .transform import dft, first_difference, select_subset
-from .baseline import select_usalg_order, usalg
 
 __all__ = [
     "ExperimentConfig",
@@ -140,11 +139,12 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
               point_index: int = 0) -> TrialResult:
     """Draw a scene, fold it, recover it, and score the spectral estimate.
 
-    The score is the NMSE of the re-synthesized estimate against the
-    noise-free signal, after resolving the folding-count constant against
-    ground truth.  Bandlimited scenes are scored through the same spectral
-    fit with the model order set to the number of active bins
-    (:func:`bandlimited_bins`).  Every error propagates: a config no trial
+    Every method unfolds through :func:`recover_residual`, which sees only
+    the modulo samples, as ``recover_line_spectrum`` does.  The score is the
+    NMSE of the re-synthesized estimate against the noise-free signal, after
+    resolving the folding-count constant against ground truth.  Bandlimited
+    scenes are scored through the same spectral fit with the model order set
+    to the number of active bins (:func:`bandlimited_bins`).  Every error propagates: a config no trial
     could run is rejected by :class:`ExperimentConfig` before any trial runs.
     """
     rng, seed = _trial_rng(cfg, point_index, trial_index)
@@ -163,15 +163,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
 
     pipe = cfg.pipeline
     start = time.perf_counter()
-    if METHODS[cfg.method].usalg:
-        # oracle: the difference order is picked from the unfolded g,
-        # which a real capture does not have (recover_line_spectrum
-        # picks it from y)
-        g_hat = usalg(y, samp.lam, select_usalg_order(g))
-        eps_hat = residual_decompose(g_hat, y, samp.lam)
-    else:
-        eps_hat = recover_residual(y, pipe, samp.lam, samp.gamma,
-                                   cfg.method).eps
+    eps_hat = recover_residual(y, pipe, samp.lam, samp.gamma, cfg.method).eps
     # sweeps score against the truth, so they resolve the constant with it
     eps_hat = resolve_constant_with_truth(eps_hat, eps_true)
     g_hat = y + 2.0 * samp.lam * eps_hat
@@ -347,11 +339,11 @@ def check_properties(draws: int = 200, n_max: int = 32,
     """Run the bound property suites and report pass/fail with margins.
 
     Fewer than one draw or an ``n_max`` below 4 would check nothing."""
-    if draws < 1:
+    if checked_int("draws", draws) < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
-    if n_max < 4:
+    if checked_int("n_max", n_max) < 4:
         raise ValueError(f"n_max must be >= 4, got {n_max}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(checked_int("seed", seed))
     checks = [_check_state_bound(rng, draws), _check_leakage(rng, draws)]
     checks.extend(_check_energy_ratio(n_max))
     table = []

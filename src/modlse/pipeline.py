@@ -7,8 +7,10 @@ exact objective, evaluated once per candidate.  The accepted folding-count
 differences are then integrated (anti-difference), which leaves a single
 additive Gaussian-integer constant that simulation callers remove against
 ground truth and blind callers remove by the one that leaves the unfolded
-signal with the smallest mean, as its band excludes DC.  Stage two runs
-the Newton-refined greedy estimator on the unfolded signal.
+signal with the smallest mean, as its band excludes DC.  The ``usalg``
+baseline replaces stage one by higher-order-difference unfolding, its order
+picked from the modulo samples alone.  Stage two runs the Newton-refined
+greedy estimator on the unfolded signal.
 
 ``METHODS`` maps each method name to the stages it runs; it is the one place
 that knows what a method is.
@@ -96,14 +98,15 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ResidualRecovery:
-    """Unfolding-stage output: folding counts plus an audit trail."""
+    """Unfolding-stage output: folding counts plus an audit trail.  ``usalg``
+    solves no instance and leaves the trail empty."""
 
     eps_diff: np.ndarray
     eps: np.ndarray
-    objective_trace: list[float]
-    dp_rejections: int
-    omp_rejections: int
-    instance: QuadraticInstance = field(repr=False)
+    objective_trace: list[float] = field(default_factory=list)
+    dp_rejections: int = 0
+    omp_rejections: int = 0
+    instance: QuadraticInstance | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -130,13 +133,14 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     Starts from the all-zero difference estimate; each pass re-centers the
     banded solve on the current estimate, then applies greedy refinement,
     accepting each update only on strict objective decrease.  ``method``
-    names the stages in ``METHODS``; ``usalg`` has no residual instance and
-    is served by ``recover_line_spectrum``.
+    names the stages in ``METHODS``; ``usalg`` instead unfolds at the
+    difference order :func:`select_usalg_order` picks from ``y``.
     """
     spec = _method(method)
-    if spec.usalg:
-        raise ValueError("usalg does not solve the residual instance")
     y = _checked_input(y, lam, gamma)
+    if spec.usalg:
+        eps = residual_decompose(usalg(y, lam, select_usalg_order(y, lam)), y, lam)
+        return ResidualRecovery(eps_diff=np.diff(eps), eps=eps)
     n = y.size
     bins = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
     inst = build_instance(y, lam, bins, cfg.p, cfg.v_bound)
@@ -204,24 +208,19 @@ def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
                           method: str = "dp_omp_iter") -> RecoveryResult:
     """Run the full two-stage recovery on modulo samples.
 
-    Serves every entry of ``METHODS``.  The additive constant is always
-    removed blind (:func:`resolve_constant_blind`), the only option on real
-    data; ``usalg`` picks its difference order from ``y`` for the same
-    reason.  A bad model order ``k`` is rejected before stage one runs.
+    Serves every entry of ``METHODS`` through :func:`recover_residual`.  The
+    additive constant is always removed blind
+    (:func:`resolve_constant_blind`), the only option on real data.  A bad
+    model order ``k`` is rejected before stage one runs.
     """
     if cfg is None:
         cfg = PipelineConfig()
     y = _checked_input(y, lam, gamma)
     k = checked_order(k, y.size)
-    trace, dp_rejected, omp_rejected = [], 0, 0
-    if _method(method).usalg:
-        eps = residual_decompose(usalg(y, lam, select_usalg_order(y)), y, lam)
-    else:
-        stage_one = recover_residual(y, cfg, lam, gamma, method)
-        eps, trace = stage_one.eps, stage_one.objective_trace
-        dp_rejected, omp_rejected = stage_one.dp_rejections, stage_one.omp_rejections
-    eps = resolve_constant_blind(eps, y, lam)
+    stage_one = recover_residual(y, cfg, lam, gamma, method)
+    eps = resolve_constant_blind(stage_one.eps, y, lam)
     g_hat = y + 2.0 * lam * eps
     return RecoveryResult(eps_hat=eps, g_hat=g_hat, spectrum_hat=nomp(g_hat, k),
-                          objective_trace=trace, dp_rejections=dp_rejected,
-                          omp_rejections=omp_rejected)
+                          objective_trace=stage_one.objective_trace,
+                          dp_rejections=stage_one.dp_rejections,
+                          omp_rejections=stage_one.omp_rejections)

@@ -195,7 +195,7 @@ def test_criterion_6_noiseless_on_grid_exact_regime():
         est = nomp(y + 2 * lam * eps, k)
         worst_us = max(worst_us, nmse(synth_line_spectral(est, n), g))
 
-        g_hat = usalg(y, lam, select_usalg_order(g))
+        g_hat = usalg(y, lam, select_usalg_order(g, lam))
         eps_b = resolve_constant_with_truth(
             residual_decompose(g_hat, y, lam), eps_true)
         est_b = nomp(y + 2 * lam * eps_b, k)

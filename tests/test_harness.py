@@ -12,6 +12,7 @@ from modlse import (
     SamplingConfig,
     check_properties,
     read_iq_csv,
+    recover_line_spectrum,
     run_sweep,
     run_trial,
     write_iq_csv,
@@ -48,6 +49,34 @@ class TestRunTrial:
                                         snr_db=np.inf, seed=1))
             result = run_trial(cfg, 0)
             assert result.success, method
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_unfolds_as_recover_line_spectrum_does(self, method, monkeypatch):
+        # one unfolding path: the trial's g_hat differs from the blind
+        # recovery's only by the constant each resolves
+        cfg = small_config(method=method,
+                           sampling=SamplingConfig(n=256, gamma=10.0, lam=0.4,
+                                                   k=2, snr_db=30.0, seed=3))
+        seen = {}
+        real_recover_residual, real_nomp = harness.recover_residual, harness.nomp
+
+        def recover_residual(y, *args):
+            seen["y"] = y
+            return real_recover_residual(y, *args)
+
+        def nomp(g_hat, k):
+            seen["g_hat"] = g_hat
+            return real_nomp(g_hat, k)
+
+        monkeypatch.setattr(harness, "recover_residual", recover_residual)
+        monkeypatch.setattr(harness, "nomp", nomp)
+        for t in range(4):
+            run_trial(cfg, t)
+            blind = recover_line_spectrum(seen["y"], 2, 10.0, 0.4, cfg.pipeline,
+                                          method=method)
+            offset = (seen["g_hat"] - blind.g_hat) / (2.0 * 0.4)
+            np.testing.assert_allclose(offset, np.round(offset[0]), rtol=0,
+                                       atol=1e-9)
 
     def test_success_flag_consistency(self):
         cfg = small_config()
@@ -201,6 +230,14 @@ class TestPropertyReport:
         text = str(report)
         assert text.count("[PASS]") == 5
         assert "FAIL" not in text
+
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(draws=2.5), "draws"), (dict(n_max=8.5), "n_max"),
+        (dict(seed=1.5), "seed"),
+    ])
+    def test_non_integer_argument_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            check_properties(**kwargs)
 
 
 class TestIqFiles:

@@ -126,13 +126,24 @@ class TestRecoverResidual:
         # tail selection, not guard band
         np.testing.assert_array_equal(res.instance.bins, select_subset_tail(256, 10.0))
 
+    def test_usalg_variant_reports_no_instance(self):
+        rng = np.random.default_rng(110)
+        spec = gen_random_spectrum(2, 25.0, rng)
+        g = synth_line_spectral(spec, 256)
+        y = modulo_sample(g, 0.4)
+        res = recover_residual(y, PipelineConfig(), 0.4, 25.0, method="usalg")
+        assert res.instance is None
+        assert res.objective_trace == []
+        assert res.dp_rejections == res.omp_rejections == 0
+        np.testing.assert_array_equal(res.eps_diff, np.diff(res.eps))
+        # noiseless and oversampled: exact up to the additive constant
+        np.testing.assert_array_equal(
+            resolve_constant_with_truth(res.eps, residual_decompose(g, y, 0.4)),
+            res.eps - res.eps[0] + residual_decompose(g, y, 0.4)[0])
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PipelineConfig(iter_max=0)
-        # a method that runs neither the DP nor the greedy refinement
-        y = modulo_sample(synth_line_spectral(LineSpectrum([0.3], [0.5]), 64), 0.4)
-        with pytest.raises(ValueError):
-            recover_residual(y, PipelineConfig(), 0.4, 10.0, method="usalg")
 
     def test_non_integer_iter_max_rejected(self):
         with pytest.raises(ValueError, match="^iter_max must be an integer, got 2.5"):
@@ -258,9 +269,8 @@ class TestFullPipeline:
         y = modulo_sample(synth_line_spectral(LineSpectrum([0.3], [0.5]), 64), 0.4)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             recover_line_spectrum(y, 1, gamma, lam, method=method)
-        if not METHODS[method].usalg:
-            with pytest.raises(ValueError, match=f"^{name} must be finite"):
-                recover_residual(y, PipelineConfig(), lam, gamma, method)
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            recover_residual(y, PipelineConfig(), lam, gamma, method)
         with pytest.raises(ValueError, match=f"^{name} must be finite"):
             SamplingConfig(lam=lam, gamma=gamma)
 
@@ -293,6 +303,25 @@ class TestFullPipeline:
         np.testing.assert_array_equal(result.g_hat, y + 2 * 0.5 * eps)
         assert result.spectrum_hat.order == 2
 
+    def test_usalg_recovers_noiseless_folded_reference_scenes(self):
+        # the first 40 scenes of the reference benchmark, noiseless: the
+        # difference order comes from y alone, and an order picked by the sup
+        # norm of y's raw differences sees the fold jumps and stays at 1
+        from modlse import nmse
+        n, gamma, lam, k = 512, 10.0, 0.7, 3
+        for i in range(40):
+            rng = np.random.default_rng(np.random.SeedSequence((20240601, 0, i)))
+            spec = gen_random_spectrum(k, gamma, rng, min_separation=2 * np.pi / n)
+            x = synth_line_spectral(spec, n)
+            y = modulo_sample(x, lam)
+            eps_true = residual_decompose(x, y, lam)
+            assert np.max(np.abs(eps_true)) > 0
+            stage = recover_residual(y, PipelineConfig(), lam, gamma, method="usalg")
+            np.testing.assert_array_equal(
+                resolve_constant_with_truth(stage.eps, eps_true), eps_true)
+            result = recover_line_spectrum(y, k, gamma, lam, method="usalg")
+            assert nmse(synth_line_spectral(result.spectrum_hat, n), x) < -15.0
+
     def test_moderate_oversampling_beats_difference_baseline(self):
         # at gamma ~ 12 with pre-fold noise, differencing-based unfolding
         # breaks down while the banded solve keeps working
@@ -307,7 +336,7 @@ class TestFullPipeline:
             y = modulo_sample(g, lam)
             eps_true = residual_decompose(g, y, lam)
 
-            g_base = usalg(y, lam, select_usalg_order(g))
+            g_base = usalg(y, lam, select_usalg_order(g, lam))
             eps_b = resolve_constant_with_truth(
                 residual_decompose(g_base, y, lam), eps_true)
             x_b = synth_line_spectral(nomp(y + 2 * lam * eps_b, k), n)

@@ -3,6 +3,8 @@ import pytest
 
 from modlse import (
     LineSpectrum,
+    add_noise,
+    centered_modulo,
     gen_random_spectrum,
     modulo_sample,
     residual_decompose,
@@ -66,10 +68,22 @@ class TestUsalg:
         with pytest.raises(ValueError):
             usalg(np.ones(3, dtype=complex), 0.5, 3)
 
+    def test_rejects_non_integer_order(self):
+        with pytest.raises(ValueError,
+                           match="^difference order must be an integer, got 1.5$"):
+            usalg(np.ones(8, dtype=complex), 0.5, 1.5)
+
+    def test_rejects_non_finite_sample(self):
+        y = np.zeros(16, dtype=complex)
+        y[5] = complex(0.0, np.nan)
+        with pytest.raises(ValueError, match="non-finite sample.*index 5"):
+            usalg(y, 0.5, 1)
+
 
 class TestOrderSelection:
     def test_matches_direct_sweep(self):
         rng = np.random.default_rng(92)
+        lam = 0.5
         for _ in range(20):
             v = rng.normal(size=100) + 1j * rng.normal(size=100)
             v = np.cumsum(v) * 0.1  # correlated, mixed behaviour
@@ -77,17 +91,45 @@ class TestOrderSelection:
             re, im = v.real, v.imag
             for _ in range(MAX_ORDER):
                 re, im = np.diff(re), np.diff(im)
-                direct.append(max(np.abs(re).max(), np.abs(im).max()))
-            assert select_usalg_order(v) == int(np.argmin(direct)) + 1
+                direct.append(max(np.abs(centered_modulo(re, lam)).max(),
+                                  np.abs(centered_modulo(im, lam)).max()))
+            assert select_usalg_order(v, lam) == int(np.argmin(direct)) + 1
 
     def test_white_noise_selects_first_order(self):
         rng = np.random.default_rng(93)
         v = rng.normal(size=2000) + 1j * rng.normal(size=2000)
-        assert select_usalg_order(v) == 1
+        assert select_usalg_order(v, 100.0) == 1
 
     def test_smooth_signal_selects_deepest_order(self):
         g = synth_line_spectral(LineSpectrum([0.02], [1.0 + 0j]), 400)
-        assert select_usalg_order(g) == MAX_ORDER == 3
+        assert select_usalg_order(g, 0.5) == MAX_ORDER == 3
+        assert select_usalg_order(modulo_sample(g, 0.5), 0.5) == 3
 
     def test_constant_ties_to_first_order(self):
-        assert select_usalg_order(np.full(50, 2.0 + 1.0j)) == 1
+        assert select_usalg_order(np.full(50, 2.0 + 1.0j), 0.5) == 1
+
+    @pytest.mark.parametrize("gamma,lam", [(10.0, 0.7), (25.0, 0.5), (40.0, 0.25)])
+    def test_folding_does_not_change_the_order(self, gamma, lam):
+        # differences of y and g differ by multiples of 2*lam, which the
+        # re-fold removes, so the modulo samples pick the signal's order
+        rng = np.random.default_rng(94)
+        orders = set()
+        for snr in (np.inf, 40.0, 30.0, 14.0):
+            for _ in range(10):
+                spec = gen_random_spectrum(3, gamma, rng)
+                g = add_noise(synth_line_spectral(spec, 512), snr, rng)
+                y = modulo_sample(g, lam)
+                assert np.max(np.abs(residual_decompose(g, y, lam))) > 0
+                order = select_usalg_order(g, lam)
+                assert select_usalg_order(y, lam) == order
+                orders.add(order)
+        assert len(orders) > 1
+
+    @pytest.mark.parametrize("y,lam,message", [
+        (np.array([0.1, np.inf, 0.2]), 0.5, "non-finite sample.*index 1"),
+        (np.zeros(8), 0.0, "^lam must be finite"),
+        (np.zeros(8), np.nan, "^lam must be finite"),
+    ])
+    def test_rejects_bad_input(self, y, lam, message):
+        with pytest.raises(ValueError, match=message):
+            select_usalg_order(y, lam)
