@@ -2,10 +2,12 @@
 """Inside the unfolding solver: band truncation, exact DP, greedy repair.
 
 The guard-band observations constrain the folding-count differences through
-a Hermitian Toeplitz Gram matrix.  This script shows how much of that
-matrix's energy a small band captures, certifies the dynamic program
-against brute force on a toy instance, and then runs the full-size solve
-with the greedy lattice refinement on top.
+a Hermitian Toeplitz Gram matrix.  The instance is that problem alone; the
+dynamic program takes its band order ``p`` and alphabet bound ``V`` as
+arguments.  This script shows how much of the matrix's energy a small band
+captures, certifies the dynamic program against brute force on a toy
+instance, and then runs the full-size solve with the greedy lattice
+refinement on top.
 """
 
 import numpy as np
@@ -43,11 +45,12 @@ for p in (1, 2, 3, 4):
 print("\n=== exactness of the dynamic program (toy scale) ===")
 toy_bins = np.array([1, 2, 4, 5])
 y_toy = rng.normal(size=8) + 1j * rng.normal(size=8)
-inst = build_instance(y_toy, 0.5, toy_bins, 2, 1)
-eps_dp = dp_solve(inst)
-eps_bf = brute_force_solve(inst)
-print(f"dp objective    = {banded_objective(inst, eps_dp):+.6f}")
-print(f"brute force     = {banded_objective(inst, eps_bf):+.6f}   "
+inst = build_instance(y_toy, 0.5, toy_bins)
+p_toy, v_toy = 2, 1
+eps_dp = dp_solve(inst, p_toy, v_toy)
+eps_bf = brute_force_solve(inst, p_toy, v_toy)
+print(f"dp objective    = {banded_objective(inst, eps_dp, p_toy):+.6f}")
+print(f"brute force     = {banded_objective(inst, eps_bf, p_toy):+.6f}   "
       f"(enumerated {9 ** 7} candidates)")
 
 print("\n=== full-size solve with refinement ===")

@@ -23,16 +23,8 @@ MAX_ORDER = 3
 """Highest difference order :func:`select_usalg_order` considers."""
 
 
-def _diff_orders(v: np.ndarray, order: int) -> list[np.ndarray]:
-    """``[v, diff(v), ..., diff^order(v)]``."""
-    out = [v]
-    for _ in range(order):
-        out.append(np.diff(out[-1]))
-    return out
-
-
 def _recover_real(y: np.ndarray, lam: float, order: int) -> np.ndarray:
-    diffs = _diff_orders(y, order)
+    diffs = [np.diff(y, d) for d in range(order + 1)]
     eps_d = np.round((centered_modulo(diffs[order], lam) - diffs[order])
                      / (2.0 * lam))
     for d in range(order - 1, 0, -1):

@@ -1,11 +1,12 @@
 """Exact dynamic-programming minimizer for the band-truncated lattice problem.
 
-Truncating the Gram matrix to half-bandwidth ``p`` couples each unknown only
-to its ``p`` neighbours, so the objective splits into a chain of stage terms
-and admits an exact forward/backward sweep over the finite state alphabet
-``{a + jb : |a|, |b| <= V}``.  The sweep returns a global minimizer of the
-*banded* objective; the companion brute-force enumerator exists to certify
-that on test-scale instances.
+The DP, not the instance it solves, owns the band order ``p`` and the alphabet
+bound ``V``.  Truncating the Gram matrix to half-bandwidth ``p`` couples each
+unknown only to its ``p`` neighbours, so the objective splits into a chain of
+stage terms and admits an exact forward/backward sweep over the finite state
+alphabet ``{a + jb : |a|, |b| <= V}``.  The sweep returns a global minimizer of
+the *banded* objective; the brute-force enumerator certifies that on
+test-scale instances.
 
 State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``) with
 the leading variable most significant, and ties are broken by the smallest
@@ -27,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .signals import checked_int
 from .transform import QuadraticInstance
 
 __all__ = [
@@ -61,12 +63,13 @@ class DpStats:
     value_table_entries: int
 
 
-def banded_objective(inst: QuadraticInstance, eps: np.ndarray) -> float:
-    """``eps^H Q_banded eps + 2 Re{b^H eps}`` without forming dense ``Q``."""
+def banded_objective(inst: QuadraticInstance, eps: np.ndarray, p: int) -> float:
+    """``eps^H Q_banded eps + 2 Re{b^H eps}`` at band order ``p``, without
+    forming dense ``Q``."""
     eps = np.asarray(eps, dtype=complex)
-    band = inst.band
+    band = inst.gram_band(p)
     acc = float(band[0].real * np.sum(np.abs(eps) ** 2))
-    for d in range(1, inst.p + 1):
+    for d in range(1, p + 1):
         acc += 2.0 * float(np.real(band[d] * np.sum(np.conj(eps[:-d]) * eps[d:])))
     return acc + 2.0 * float(np.real(np.conj(inst.b) @ eps))
 
@@ -75,47 +78,51 @@ class BudgetExceeded(ValueError):
     """An exact enumeration would exceed its table-entry budget."""
 
 
-def _check_budget(entries: int) -> None:
+def _check_budget(entries: int, knobs: str) -> None:
     if entries > DEFAULT_BUDGET:
         raise BudgetExceeded(
             f"state-space enumeration of {entries} entries exceeds budget {DEFAULT_BUDGET}; "
-            "reduce p or the state bound"
+            f"reduce {knobs}"
         )
 
 
 def check_dp_budget(p: int, v_bound: int) -> None:
-    """Raise :class:`BudgetExceeded` if a :func:`dp_solve` stage table,
-    ``(2V+1)^(2(p+1))`` entries, would exceed the budget."""
-    _check_budget((2 * v_bound + 1) ** (2 * (p + 1)))
+    """The one check of the DP's knobs: ``p`` and ``v_bound`` must be integers
+    >= 1 (a ``ValueError`` names the knob), and a stage table of
+    ``(2V+1)^(2(p+1))`` entries must fit the budget (:class:`BudgetExceeded`)."""
+    for name, value in (("p", p), ("v_bound", v_bound)):
+        if checked_int(name, value) < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    _check_budget((2 * v_bound + 1) ** (2 * (p + 1)), f"p={p} or v_bound={v_bound}")
 
 
-def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
-    """Globally minimize the band-truncated objective over bounded states.
+def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
+             return_stats: bool = False):
+    """Globally minimize the objective truncated to band order ``p`` over
+    states with ``|Re|, |Im| <= v_bound``.
 
     Runs the forward value recursion over stage tables keyed by ``p``-tuples
     of states, keeping each stage's value table (``(n_vars - p) * B^p``
     float64 entries in all), enumerates the trailing ``(p+1)``-variable block
     exactly, and backtracks by re-evaluating one stage column per variable
-    against the kept values.  Iterative re-centering passes
-    an instance re-observed around the current estimate
-    (:meth:`QuadraticInstance.with_observation`).
+    against the kept values.  Re-centering passes an instance re-observed
+    around the current estimate (:meth:`QuadraticInstance.with_observation`).
 
     Returns the minimizing Gaussian-integer sequence (``complex128`` with
     integral parts), plus a :class:`DpStats` when ``return_stats`` is set.
     """
-    p, v, b = inst.p, inst.v_bound, inst.b
-    m = inst.n_vars
+    b, m = inst.b, inst.n_vars
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"non-finite linear term at index {bad[0]}")
+    check_dp_budget(p, v_bound)
     if m <= p + 1:
         raise ValueError("instance too short for this band order")
-    check_dp_budget(p, v)
-    states = state_alphabet(v)
+    states = state_alphabet(v_bound)
     bsz = states.size
 
     n_stages = m - p
-    band = inst.band
+    band = inst.gram_band(p)
 
     # Per-key digit tables: digit t of key is the state index of variable
     # k+1+t relative to stage k (leading digit most significant).
@@ -184,23 +191,25 @@ def dp_solve(inst: QuadraticInstance, *, return_stats: bool = False):
     return eps
 
 
-def brute_force_solve(inst: QuadraticInstance, use_banded: bool = True) -> np.ndarray:
-    """Exhaustively minimize the exact or banded objective (test-scale only).
+def brute_force_solve(inst: QuadraticInstance, p: int, v_bound: int,
+                      use_banded: bool = True) -> np.ndarray:
+    """Exhaustively minimize the exact or band-``p`` objective over states with
+    ``|Re|, |Im| <= v_bound`` (test-scale only).
 
     Enumerates the full ``(2V+1)^(2*n_vars)`` candidate set by splitting the
     variables into two halves and combining the halves' quadratic forms with
     a single cross matrix, so no candidate matrix is ever materialized.
     Ties resolve to the smallest flat candidate index (leading variable most
     significant, states in :func:`state_alphabet` order).  The linear term
-    is ``inst.b``, as in :func:`dp_solve`.
+    is ``inst.b``, and the knobs are checked, as in :func:`dp_solve`.
     """
     m = inst.n_vars
-    v = inst.v_bound
-    states = state_alphabet(v)
+    check_dp_budget(p, v_bound)
+    states = state_alphabet(v_bound)
     bsz = states.size
-    _check_budget(bsz ** m)
+    _check_budget(bsz ** m, f"n_vars={m} or v_bound={v_bound}")
 
-    q = inst.q_banded_dense() if use_banded else inst.q_dense()
+    q = inst.q_banded_dense(p) if use_banded else inst.q_dense()
 
     def half_tuples(count: int) -> np.ndarray:
         idx = np.arange(bsz ** count)

@@ -99,6 +99,8 @@ class ExperimentConfig:
         if not np.isfinite(self.success_threshold_db):
             raise ValueError("success_threshold_db must be finite, got "
                              f"{self.success_threshold_db!r}")
+        if self.scenario == "bandlimited_sweep":
+            bandlimited_bins(self.sampling.n, self.sampling.gamma)
         if METHODS[self.method].dp:
             check_dp_budget(self.pipeline.p, self.pipeline.v_bound)
             # beta_grid, read by beta_sweep alone, replaces pipeline.beta

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import LineSpectrum, checked_order, finite_samples
+from .signals import LineSpectrum, check_finite, checked_order, finite_samples
 
 __all__ = ["nomp", "nmse"]
 
@@ -273,11 +273,14 @@ def nomp(g: np.ndarray, k: int) -> LineSpectrum:
 
 
 def nmse(x_hat: np.ndarray, x: np.ndarray) -> float:
-    """Normalized mean squared error in dB, floored at ``NMSE_FLOOR_DB``."""
+    """Normalized mean squared error in dB, floored at ``NMSE_FLOOR_DB``.
+
+    A non-finite sample in either argument is a ``ValueError``, not a NaN."""
     x_hat = np.asarray(x_hat, dtype=complex)
     x = np.asarray(x, dtype=complex)
     if x_hat.shape != x.shape:
         raise ValueError("length mismatch")
+    check_finite(x_hat=x_hat, x=x)
     ref = float(np.linalg.norm(x) ** 2)
     if ref == 0.0:
         raise ValueError("reference signal has zero energy")

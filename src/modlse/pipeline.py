@@ -74,17 +74,12 @@ METHODS = {
 }
 
 
-def _method(name: str) -> Method:
-    if name not in METHODS:
-        raise ValueError(f"unknown method {name!r}; expected one of {tuple(METHODS)}")
-    return METHODS[name]
-
-
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Knobs for the unfolding stage: band order ``p``, state alphabet bound
-    ``v_bound``, guard-band fraction ``beta`` and the number of solve/refine
-    passes ``iter_max`` of the iterated method."""
+    """Knobs for the unfolding stage.  Only the DP methods read the band order
+    ``p``, the state alphabet bound ``v_bound`` (which ``dp_solve`` checks)
+    and the guard-band fraction ``beta``; only ``dp_omp_iter`` reads
+    ``iter_max``, its number of solve/refine passes."""
 
     p: int = 3
     v_bound: int = 1
@@ -136,14 +131,16 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     names the stages in ``METHODS``; ``usalg`` instead unfolds at the
     difference order :func:`select_usalg_order` picks from ``y``.
     """
-    spec = _method(method)
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    spec = METHODS[method]
     y = _checked_input(y, lam, gamma)
     if spec.usalg:
         eps = residual_decompose(usalg(y, lam, select_usalg_order(y, lam)), y, lam)
         return ResidualRecovery(eps_diff=np.diff(eps), eps=eps)
     n = y.size
     bins = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
-    inst = build_instance(y, lam, bins, cfg.p, cfg.v_bound)
+    inst = build_instance(y, lam, bins)
     eps_d = np.zeros(inst.n_vars, dtype=complex)
     trace = [exact_objective(inst, eps_d)]
     dp_rejected = 0
@@ -151,7 +148,8 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     for _ in range(cfg.iter_max if spec.iterate else 1):
         if spec.dp:
             recentered = inst.with_observation(inst.z_s + inst.forward(eps_d))
-            updated = accept_if_improves(inst, eps_d, dp_solve(recentered), trace)
+            solved = dp_solve(recentered, cfg.p, cfg.v_bound)
+            updated = accept_if_improves(inst, eps_d, solved, trace)
             dp_rejected += updated is eps_d
             eps_d = updated
         if spec.omp:

@@ -47,6 +47,7 @@ class LineSpectrum:
             raise ValueError("spectrum must contain at least one component")
         if omegas.shape != coeffs.shape:
             raise ValueError("omegas and coeffs must have matching length")
+        check_finite(omegas=omegas, coeffs=coeffs)
         if omegas.size > 1 and np.min(np.abs(np.subtract.outer(omegas, omegas))
                                       + np.eye(omegas.size)) == 0.0:
             raise ValueError("frequencies must be pairwise distinct")
@@ -56,6 +57,13 @@ class LineSpectrum:
     @property
     def order(self) -> int:
         return self.omegas.size
+
+
+def check_finite(**arrays) -> None:
+    """Raise a ``ValueError`` naming the first keyword array with a non-finite entry."""
+    for name, values in arrays.items():
+        if not np.all(np.isfinite(values)):
+            raise ValueError(f"{name} must be finite")
 
 
 def check_lam(lam: float) -> None:
@@ -138,7 +146,7 @@ def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:
     n : int
         Number of samples, at least 2.
     """
-    if n < 2:
+    if checked_int("n", n) < 2:
         raise ValueError("n must be >= 2")
     t = np.arange(n)
     return np.exp(1j * np.outer(t, spectrum.omegas)) @ spectrum.coeffs
@@ -157,7 +165,7 @@ def gen_random_spectrum(k: int, gamma: float, rng: np.random.Generator,
     cannot hold ``k`` frequencies that far apart, or if ``MAX_REDRAWS``
     draws in a row are rejected.
     """
-    if k < 1:
+    if checked_int("k", k) < 1:
         raise ValueError("k must be >= 1")
     hi = 2.0 * np.pi / gamma
     if min_separation is None:
@@ -188,9 +196,15 @@ def bandlimited_bins(n: int, gamma: float) -> int:
 
     The band covers bins ``1..floor(n/gamma)``, clipped below the Nyquist
     bin: ``min(floor(n/gamma), (n-1)//2)``.  It is the model order of a
-    bandlimited scene.
+    bandlimited scene.  Raises ``ValueError`` if ``n`` is not an integer
+    >= 4 or the band is empty.
     """
-    return min(int(np.floor(n / gamma)), (n - 1) // 2)
+    if checked_int("n", n) < 4:
+        raise ValueError("n must be >= 4")
+    bins = min(int(np.floor(n / gamma)), (n - 1) // 2)
+    if bins < 1:
+        raise ValueError("band is empty; decrease gamma")
+    return bins
 
 
 def gen_bandlimited(n: int, gamma: float, rng: np.random.Generator) -> np.ndarray:
@@ -202,11 +216,7 @@ def gen_bandlimited(n: int, gamma: float, rng: np.random.Generator) -> np.ndarra
     back.  The output is normalized to unit per-sample RMS and its DFT
     magnitude is supported on bins ``1..bandlimited_bins(n, gamma)`` only.
     """
-    if n < 4:
-        raise ValueError("n must be >= 4")
     b = bandlimited_bins(n, gamma)
-    if b < 1:
-        raise ValueError("band is empty; decrease gamma")
     spec = np.zeros(n, dtype=complex)
     coef = rng.normal(size=b) + 1j * rng.normal(size=b)
     spec[1:b + 1] = coef

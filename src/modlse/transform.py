@@ -5,8 +5,9 @@ isolate after two steps: a first-order difference (which shrinks the folding
 counts onto a small Gaussian-integer lattice) and a unitary DFT (which pushes
 the signal content into the lowest bins).  On a guard band of high bins the
 signal contribution is provably small, so the selected DFT rows constrain
-only the folding-count differences.  This module builds that banded integer
-least-squares instance.
+only the folding-count differences.  This module builds that integer
+least-squares instance; how a solver truncates or searches it (band order,
+state alphabet) is the solver's business.
 
 Index conventions: a length-``N`` signal has an ``N-1`` point difference
 domain.  DFT bins are 0-based throughout (bin ``m`` has frequency
@@ -18,8 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .signals import checked_int
 
 __all__ = [
     "QuadraticInstance",
@@ -105,23 +104,20 @@ def select_subset_tail(n: int, gamma: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QuadraticInstance:
-    """Banded integer least-squares instance ``min |z_s + F_s eps|^2``.
+    """Guard-band integer least-squares instance ``min |z_s + F_s eps|^2``.
 
     ``F_s`` is the ``n_vars``-point unitary DFT restricted to the rows
-    ``bins``, ``z_s`` the scaled guard-band observations, and ``eps`` ranges
-    over Gaussian-integer sequences of length ``n_vars``.  The Gram matrix
-    ``Q = F_s^H F_s`` is Hermitian Toeplitz, so it is stored as the offset
-    vector ``band[d] = Q[i, i+d]`` for ``d = 0..p``; dense copies are
-    materialized on demand only (tests, diagnostics).
+    ``bins``, ``z_s`` the scaled guard-band observations, ``b = F_s^H z_s``
+    the linear term, and ``eps`` ranges over Gaussian-integer sequences of
+    length ``n_vars``.  The Gram matrix ``Q = F_s^H F_s`` is Hermitian
+    Toeplitz, so a banded solver needs only its offsets ``0..p``
+    (:meth:`gram_band`); dense copies are for tests and diagnostics.
     """
 
     bins: np.ndarray = field(repr=False)
     n_vars: int
     z_s: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
-    band: np.ndarray = field(repr=False)
-    p: int
-    v_bound: int
 
     def forward(self, eps: np.ndarray) -> np.ndarray:
         """Apply ``F_s`` via FFT: unitary DFT followed by row selection."""
@@ -129,12 +125,18 @@ class QuadraticInstance:
 
     def adjoint(self, u: np.ndarray) -> np.ndarray:
         """Apply ``F_s^H`` via inverse FFT of the zero-embedded coefficients."""
-        return _adjoint(self.bins, self.n_vars, u)
+        full = np.zeros(self.n_vars, dtype=complex)
+        full[self.bins] = u
+        return np.fft.ifft(full) * np.sqrt(self.n_vars)
 
     def column(self, j: int) -> np.ndarray:
         """Explicit ``j``-th column of ``F_s`` (all columns share one norm)."""
         return np.exp(-2j * np.pi * self.bins * j / self.n_vars) \
             / np.sqrt(self.n_vars)
+
+    def gram_band(self, p: int) -> np.ndarray:
+        """Offsets ``Q[i, i+d]`` for ``d = 0..p``, from one FFT."""
+        return _gram_offsets(self.bins, self.n_vars)[:p + 1]
 
     def q_dense(self) -> np.ndarray:
         """Dense Hermitian Toeplitz ``Q``; test-scale use only."""
@@ -144,23 +146,15 @@ class QuadraticInstance:
         out = q[np.abs(idx)]
         return np.where(idx > 0, np.conj(out), out)
 
-    def q_banded_dense(self) -> np.ndarray:
+    def q_banded_dense(self, p: int) -> np.ndarray:
         """Dense band-truncated ``Q`` (entries beyond offset ``p`` zeroed)."""
         m = self.n_vars
         idx = np.subtract.outer(np.arange(m), np.arange(m))
-        out = self.q_dense()
-        return np.where(np.abs(idx) <= self.p, out, 0.0)
+        return np.where(np.abs(idx) <= p, self.q_dense(), 0.0)
 
     def with_observation(self, z_s: np.ndarray) -> "QuadraticInstance":
         """Same geometry, new observation vector (and matching linear term)."""
         return replace(self, z_s=z_s, b=self.adjoint(z_s))
-
-
-def _adjoint(bins: np.ndarray, m: int, u: np.ndarray) -> np.ndarray:
-    """``F_s^H u`` for the rows ``bins`` of the ``m``-point unitary DFT."""
-    full = np.zeros(m, dtype=complex)
-    full[bins] = u
-    return np.fft.ifft(full) * np.sqrt(m)
 
 
 def _gram_offsets(bins: np.ndarray, m: int) -> np.ndarray:
@@ -174,16 +168,14 @@ def _gram_offsets(bins: np.ndarray, m: int) -> np.ndarray:
     return np.fft.fft(indicator) / m
 
 
-def build_instance(y: np.ndarray, lam: float, bins: np.ndarray,
-                   p: int, v_bound: int) -> QuadraticInstance:
+def build_instance(y: np.ndarray, lam: float, bins: np.ndarray) -> QuadraticInstance:
     """Assemble the guard-band instance from modulo samples.
 
     ``bins`` are the selected rows of the ``len(y) - 1`` point difference
     domain DFT, as :func:`select_subset` returns them: a non-empty, strictly
     increasing integer array inside ``0..len(y)-2``.  ``z_s`` is the selected
-    unitary DFT of the first difference of ``y`` divided by ``2*lam``;
-    ``b = F_s^H z_s``; the Gram band holds offsets ``0..p`` of
-    ``Q = F_s^H F_s``.
+    unitary DFT of the first difference of ``y`` divided by ``2*lam``, and
+    ``b = F_s^H z_s``.
     """
     y = np.asarray(y, dtype=complex)
     m = y.size - 1
@@ -196,15 +188,8 @@ def build_instance(y: np.ndarray, lam: float, bins: np.ndarray,
     if bins[0] < 0 or bins[-1] > m - 1:
         raise ValueError(f"bins {bins[0]}..{bins[-1]} outside 0..{m - 1} "
                          f"for {y.size} samples")
-    p, v_bound = checked_int("p", p), checked_int("v_bound", v_bound)
-    if not 1 <= p < m:
-        raise ValueError(f"band order p must be from 1 to {m - 1}, got {p}")
-    if v_bound < 1:
-        raise ValueError("state bound must be >= 1")
     z_s = dft(first_difference(y))[bins] / (2.0 * lam)
-    return QuadraticInstance(bins=bins, n_vars=m, z_s=z_s, b=_adjoint(bins, m, z_s),
-                             band=_gram_offsets(bins, m)[:p + 1],
-                             p=p, v_bound=v_bound)
+    return QuadraticInstance(bins=bins, n_vars=m, z_s=None, b=None).with_observation(z_s)
 
 
 def exact_objective(inst: QuadraticInstance, eps: np.ndarray) -> float:

@@ -103,11 +103,11 @@ def test_criterion_3_dp_matches_brute_force():
         bins = np.sort(rng.choice(np.arange(m), size=max(2, m // 2),
                                   replace=False))
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        inst = build_instance(y, 0.5, bins, p, 1)
+        inst = build_instance(y, 0.5, bins)
         z = rng.normal(size=bins.size) + 1j * rng.normal(size=bins.size)
         inst = inst.with_observation(z)
-        gap = abs(banded_objective(inst, dp_solve(inst))
-                  - banded_objective(inst, brute_force_solve(inst)))
+        gap = abs(banded_objective(inst, dp_solve(inst, p, 1), p)
+                  - banded_objective(inst, brute_force_solve(inst, p, 1), p))
         worst = max(worst, gap)
         count += 1
     elapsed = time.perf_counter() - start

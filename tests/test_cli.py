@@ -158,6 +158,17 @@ class TestCliCommands:
         assert err.count("\n") == 1
         assert not (tmp_path / "x_trials.csv").exists()
 
+    @pytest.mark.parametrize("line,problem", [("p = 0", "p must be >= 1, got 0"),
+                                              ("v = 0", "v_bound must be >= 1, got 0")])
+    def test_experiment_dp_knob_below_one_is_one_line_error(self, line, problem,
+                                                            tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"{line}\nsnr_grid = 30\n")
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == f"modlse experiment: error: {problem}\n"
+        assert not (tmp_path / "x_trials.csv").exists()
+
     def test_recover_bad_lambda_is_one_line_error(self, tmp_path, capsys):
         prefix = tmp_path / "scene"
         main(["simulate", "--n", "64", "--k", "1", "--out", str(prefix)])

@@ -7,6 +7,8 @@ import pytest
 from modlse import (
     BudgetExceeded,
     DpStats,
+    check_dp_budget,
+    QuadraticInstance,
     add_noise,
     banded_objective,
     brute_force_solve,
@@ -21,18 +23,32 @@ from modlse import (
 from modlse.dp import DEFAULT_BUDGET
 
 
-def random_instance(n, p, v, rng, subset_size=None, randomize_obs=True):
+def random_instance(n, rng, subset_size=None, randomize_obs=True):
     """Small instance over a random bin selection (test-only geometry)."""
     m = n - 1
     if subset_size is None:
         subset_size = max(1, m // 2)
     bins = np.sort(rng.choice(np.arange(m), size=subset_size, replace=False))
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    inst = build_instance(y, 0.5, bins, p, v)
+    inst = build_instance(y, 0.5, bins)
     if randomize_obs:
         z = rng.normal(size=subset_size) + 1j * rng.normal(size=subset_size)
         inst = inst.with_observation(z)
     return inst
+
+
+@dataclasses.dataclass(frozen=True)
+class FixedBand(QuadraticInstance):
+    """An instance whose Gram band is given rather than derived from its bins."""
+
+    band: np.ndarray = dataclasses.field(default=None, repr=False)
+
+    def gram_band(self, p):
+        return self.band[:p + 1]
+
+
+def with_band(inst, band):
+    return FixedBand(**vars(inst), band=band)
 
 
 class TestStateAlphabet:
@@ -50,30 +66,30 @@ class TestDecomposition:
         for _ in range(200):
             n = int(rng.integers(8, 14))
             p = int(rng.integers(1, 4))
-            inst = random_instance(n, p, 1, rng)
-            q_banded = inst.q_banded_dense()
+            inst = random_instance(n, rng)
+            q_banded = inst.q_banded_dense(p)
             for _ in range(5):
                 eps = rng.integers(-2, 3, inst.n_vars) \
                     + 1j * rng.integers(-2, 3, inst.n_vars)
                 eps = eps.astype(complex)
                 direct = np.real(np.conj(eps) @ q_banded @ eps) \
                     + 2 * np.real(np.conj(inst.b) @ eps)
-                assert banded_objective(inst, eps) == pytest.approx(direct, abs=1e-10)
+                assert banded_objective(inst, eps, p) == pytest.approx(direct, abs=1e-10)
 
     def test_rejects_oversized_band(self):
         # n_vars = p + 1 leaves no forward stage
         rng = np.random.default_rng(53)
         for p in (3, 1, 2):
-            inst = random_instance(p + 2, p, 1, rng)
+            inst = random_instance(p + 2, rng)
             assert inst.n_vars == p + 1
             with pytest.raises(ValueError, match="instance too short"):
-                dp_solve(inst)
+                dp_solve(inst, p, 1)
 
 
-def exhaustive_minimum(inst, banded=True):
+def exhaustive_minimum(inst, p, v, banded=True):
     """Independent oracle: explicit loop over every candidate tuple."""
-    states = state_alphabet(inst.v_bound)
-    q = inst.q_banded_dense() if banded else inst.q_dense()
+    states = state_alphabet(v)
+    q = inst.q_banded_dense(p) if banded else inst.q_dense()
     best = np.inf
     for combo in itertools.product(states, repeat=inst.n_vars):
         eps = np.array(combo)
@@ -85,45 +101,45 @@ def exhaustive_minimum(inst, banded=True):
 class TestDpSolve:
     def test_zero_linear_term_returns_zero(self):
         rng = np.random.default_rng(54)
-        inst = random_instance(20, 2, 1, rng, randomize_obs=False)
+        inst = random_instance(20, rng, randomize_obs=False)
         inst = inst.with_observation(np.zeros(inst.bins.size, dtype=complex))
-        eps = dp_solve(inst)
+        eps = dp_solve(inst, 2, 1)
         np.testing.assert_array_equal(eps, np.zeros(19, dtype=complex))
 
     def test_matches_exhaustive_small(self):
         rng = np.random.default_rng(55)
-        inst = random_instance(5, 1, 1, rng)  # 9^4 = 6561 candidates
-        eps = dp_solve(inst)
-        assert banded_objective(inst, eps) == pytest.approx(
-            exhaustive_minimum(inst), abs=1e-9)
+        inst = random_instance(5, rng)  # 9^4 = 6561 candidates
+        eps = dp_solve(inst, 1, 1)
+        assert banded_objective(inst, eps, 1) == pytest.approx(
+            exhaustive_minimum(inst, 1, 1), abs=1e-9)
 
     @pytest.mark.parametrize("n,p", [(6, 1), (7, 1), (7, 2), (8, 2)])
     def test_matches_brute_force(self, n, p):
         rng = np.random.default_rng(56 + n + p)
         for _ in range(15):
-            inst = random_instance(n, p, 1, rng)
-            eps_dp = dp_solve(inst)
-            eps_bf = brute_force_solve(inst, use_banded=True)
-            assert banded_objective(inst, eps_dp) == pytest.approx(
-                banded_objective(inst, eps_bf), abs=1e-9)
+            inst = random_instance(n, rng)
+            eps_dp = dp_solve(inst, p, 1)
+            eps_bf = brute_force_solve(inst, p, 1, use_banded=True)
+            assert banded_objective(inst, eps_dp, p) == pytest.approx(
+                banded_objective(inst, eps_bf, p), abs=1e-9)
 
     def test_deterministic_reruns(self):
         rng = np.random.default_rng(57)
-        inst = random_instance(10, 2, 1, rng)
-        np.testing.assert_array_equal(dp_solve(inst), dp_solve(inst))
+        inst = random_instance(10, rng)
+        np.testing.assert_array_equal(dp_solve(inst, 2, 1), dp_solve(inst, 2, 1))
 
     def test_budget_guard(self):
         rng = np.random.default_rng(58)
-        inst = random_instance(12, 4, 3, rng)  # 49^5 ~ 2.8e8 entries
+        inst = random_instance(12, rng)  # 49^5 ~ 2.8e8 entries
         assert 49 ** 5 > DEFAULT_BUDGET == 10 ** 8
         with pytest.raises(BudgetExceeded):
-            dp_solve(inst)
+            dp_solve(inst, 4, 3)
         assert issubclass(BudgetExceeded, ValueError)
 
     def test_solution_stays_on_bounded_lattice(self):
         rng = np.random.default_rng(59)
-        inst = random_instance(16, 2, 1, rng)
-        eps = dp_solve(inst)
+        inst = random_instance(16, rng)
+        eps = dp_solve(inst, 2, 1)
         assert np.all(np.abs(eps.real) <= 1) and np.all(np.abs(eps.imag) <= 1)
         assert np.all(eps.real == np.round(eps.real))
         assert np.all(eps.imag == np.round(eps.imag))
@@ -132,43 +148,67 @@ class TestDpSolve:
         # per the stage recursion, incrementing p multiplies the enumeration
         # by at most the state-alphabet size
         rng = np.random.default_rng(60)
-        inst1 = random_instance(24, 1, 1, rng)
+        inst1 = random_instance(24, rng)
         rng = np.random.default_rng(60)
-        inst2 = random_instance(24, 2, 1, rng)
-        _, s1 = dp_solve(inst1, return_stats=True)
-        _, s2 = dp_solve(inst2, return_stats=True)
+        inst2 = random_instance(24, rng)
+        _, s1 = dp_solve(inst1, 1, 1, return_stats=True)
+        _, s2 = dp_solve(inst2, 2, 1, return_stats=True)
         assert s2.candidates_evaluated / s1.candidates_evaluated <= 9 * 1.05
         assert s1.state_count == 9
         assert s1.value_table_entries == 9
 
     def test_respects_linear_term_override(self):
         rng = np.random.default_rng(61)
-        inst = random_instance(10, 1, 1, rng)
+        inst = random_instance(10, rng)
         other = rng.normal(size=inst.n_vars) + 1j * rng.normal(size=inst.n_vars)
-        eps_override = dp_solve(dataclasses.replace(inst, b=other))
+        eps_override = dp_solve(dataclasses.replace(inst, b=other), 1, 1)
         moved = inst.with_observation(inst.z_s)  # same instance, sanity
-        assert banded_objective(moved, eps_override) >= \
-            banded_objective(moved, dp_solve(inst)) - 1e-9
+        assert banded_objective(moved, eps_override, 1) >= \
+            banded_objective(moved, dp_solve(inst, 1, 1), 1) - 1e-9
 
 
     def test_rejects_non_finite_instance_term(self):
         rng = np.random.default_rng(66)
-        inst = random_instance(12, 2, 1, rng)
+        inst = random_instance(12, rng)
         b = inst.b.copy()
         b[7] = np.nan
         with pytest.raises(ValueError, match="non-finite linear term at index 7"):
-            dp_solve(dataclasses.replace(inst, b=b))
+            dp_solve(dataclasses.replace(inst, b=b), 2, 1)
+
+    @pytest.mark.parametrize("p", [0, 11, 12])
+    def test_band_order_outside_instance_rejected(self, p):
+        # 11 variables: no band at p = 0, and a stage table of 9^(2(p+1))
+        # entries at p >= 11, so the error names p before any stage runs
+        inst = build_instance(np.zeros(12, dtype=complex), 0.5, np.arange(3, 6))
+        with pytest.raises(ValueError, match=rf"p( must be >= 1, got |=){p}\b"):
+            dp_solve(inst, p, 1)
+
+    @pytest.mark.parametrize("solver", [dp_solve, brute_force_solve])
+    @pytest.mark.parametrize("p,v,message", [
+        (0, 1, "^p must be >= 1, got 0"),
+        (-2, 1, "^p must be >= 1, got -2"),
+        (2.5, 1, "^p must be an integer, got 2.5"),
+        (1, 0, "^v_bound must be >= 1, got 0"),
+        (1, 1.0, "^v_bound must be an integer, got 1.0"),
+        (4, 3, "reduce p=4 or v_bound=3"),
+    ])
+    def test_rejected_knob_is_named(self, solver, p, v, message):
+        inst = random_instance(8, np.random.default_rng(68))
+        with pytest.raises(ValueError, match=message):
+            solver(inst, p, v)
+        with pytest.raises(ValueError, match=message):
+            check_dp_budget(p, v)
 
     def test_rejects_non_finite_override(self):
         rng = np.random.default_rng(67)
-        inst = random_instance(12, 2, 1, rng)
+        inst = random_instance(12, rng)
         b = inst.b.copy()
         b[[4, 9]] = [complex(np.inf, 0.0), complex(0.0, np.nan)]
         with pytest.raises(ValueError, match="non-finite linear term at index 4"):
-            dp_solve(dataclasses.replace(inst, b=b))
+            dp_solve(dataclasses.replace(inst, b=b), 2, 1)
 
 
-def reference_dp_solve(inst):
+def reference_dp_solve(inst, p, v):
     """Test-only oracle: the gather + ``argmin(axis=0)`` forward pass.
 
     Gathers each stage's predecessor values through an explicit key table
@@ -176,11 +216,11 @@ def reference_dp_solve(inst):
     with :func:`dp_solve` only the stage arithmetic, not the reductions or
     the tie-break.  Returns ``(eps, DpStats)``.
     """
-    p, m, b = inst.p, inst.n_vars, inst.b
-    states = state_alphabet(inst.v_bound)
+    m, b = inst.n_vars, inst.b
+    states = state_alphabet(v)
     bsz = states.size
     n_stages = m - p
-    band = inst.band
+    band = inst.gram_band(p)
     q0 = float(band[0].real)
 
     keys = np.arange(bsz ** p)
@@ -236,9 +276,9 @@ def reference_dp_solve(inst):
                         value_table_entries=bsz ** p)
 
 
-def assert_matches_reference(inst):
-    eps, stats = dp_solve(inst, return_stats=True)
-    eps_ref, stats_ref = reference_dp_solve(inst)
+def assert_matches_reference(inst, p, v):
+    eps, stats = dp_solve(inst, p, v, return_stats=True)
+    eps_ref, stats_ref = reference_dp_solve(inst, p, v)
     np.testing.assert_array_equal(eps, eps_ref)
     assert stats == stats_ref
     return eps
@@ -253,14 +293,14 @@ class TestMatchesReferenceSolver:
         rng = np.random.default_rng(70 + 10 * p + v)
         for _ in range(6 if v == 1 else 3):
             n = int(rng.integers(p + 3, p + 12))
-            assert_matches_reference(random_instance(n, p, v, rng))
+            assert_matches_reference(random_instance(n, rng), p, v)
 
     def test_linear_term_override(self):
         rng = np.random.default_rng(71)
         for p in (1, 2, 3):
-            inst = random_instance(14, p, 1, rng)
+            inst = random_instance(14, rng)
             other = rng.normal(size=inst.n_vars) + 1j * rng.normal(size=inst.n_vars)
-            assert_matches_reference(dataclasses.replace(inst, b=other))
+            assert_matches_reference(dataclasses.replace(inst, b=other), p, 1)
 
     @pytest.mark.parametrize("scale", [0.0, 1.0, 0.5])
     def test_lattice_terms_force_ties(self, scale):
@@ -269,15 +309,15 @@ class TestMatchesReferenceSolver:
         rng = np.random.default_rng(72)
         dyadic = np.array([2.0, 0.5 + 0.5j, -0.25, 0.25j, -0.125 + 0.125j])
         for p in (1, 2, 3, 4):
-            inst = random_instance(13, p, 1, rng, randomize_obs=False)
+            inst = random_instance(13, rng, randomize_obs=False)
             size = inst.bins.size
             z = scale * (rng.integers(-2, 3, size) + 1j * rng.integers(-2, 3, size))
-            assert_matches_reference(inst.with_observation(z))
+            assert_matches_reference(inst.with_observation(z), p, 1)
             b = scale * (rng.integers(-2, 3, inst.n_vars)
                          + 1j * rng.integers(-2, 3, inst.n_vars))
-            assert_matches_reference(dataclasses.replace(inst, b=b))
+            assert_matches_reference(dataclasses.replace(inst, b=b), p, 1)
             assert_matches_reference(
-                dataclasses.replace(inst, band=dyadic[:p + 1], b=b))
+                with_band(dataclasses.replace(inst, b=b), dyadic[:p + 1]), p, 1)
 
     @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])
     def test_all_tied_tables_pick_smallest_index(self, p, v):
@@ -285,13 +325,13 @@ class TestMatchesReferenceSolver:
         # across the imaginary parts, so the tie-break alone fixes them:
         # real part v (b = -1), imaginary part -v (smallest index)
         rng = np.random.default_rng(73)
-        inst = random_instance(11, p, v, rng)
-        flat = dataclasses.replace(inst, band=np.zeros_like(inst.band))
+        inst = random_instance(11, rng)
+        flat = with_band(inst, np.zeros(p + 1, dtype=complex))
         eps = assert_matches_reference(
-            dataclasses.replace(flat, b=-np.ones(inst.n_vars, dtype=complex)))
+            dataclasses.replace(flat, b=-np.ones(inst.n_vars, dtype=complex)), p, v)
         np.testing.assert_array_equal(eps, np.full(inst.n_vars, v - 1j * v))
         eps = assert_matches_reference(
-            dataclasses.replace(flat, b=np.zeros(inst.n_vars, dtype=complex)))
+            dataclasses.replace(flat, b=np.zeros(inst.n_vars, dtype=complex)), p, v)
         np.testing.assert_array_equal(eps, np.full(inst.n_vars, -v - 1j * v))
 
     @pytest.mark.parametrize("p", [1, 2, 3])
@@ -301,11 +341,11 @@ class TestMatchesReferenceSolver:
         # n_vars = p + 3: two of each
         rng = np.random.default_rng(75 + 10 * p + extra)
         for _ in range(4):
-            inst = random_instance(p + extra + 1, p, 1, rng)
+            inst = random_instance(p + extra + 1, rng)
             assert inst.n_vars == p + extra
-            eps = assert_matches_reference(inst)
-            assert banded_objective(inst, eps) == pytest.approx(
-                banded_objective(inst, brute_force_solve(inst)), abs=1e-9)
+            eps = assert_matches_reference(inst, p, 1)
+            assert banded_objective(inst, eps, p) == pytest.approx(
+                banded_objective(inst, brute_force_solve(inst, p, 1), p), abs=1e-9)
 
     def test_reference_scenes(self):
         # n=512, k=3, p=3: the scene of the paper's reference experiment,
@@ -315,25 +355,25 @@ class TestMatchesReferenceSolver:
         for _ in range(3):
             spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
             g = add_noise(synth_line_spectral(spec, 512), 30.0, rng)
-            inst = build_instance(modulo_sample(g, 0.7), 0.7, bins, 3, 1)
-            eps = assert_matches_reference(inst)
+            inst = build_instance(modulo_sample(g, 0.7), 0.7, bins)
+            eps = assert_matches_reference(inst, 3, 1)
             assert_matches_reference(
-                inst.with_observation(inst.z_s + inst.forward(eps)))
+                inst.with_observation(inst.z_s + inst.forward(eps)), 3, 1)
 
 
 class TestBruteForce:
     def test_covers_full_candidate_set(self):
         # m = 3, V = 1: 9^3 = 729 candidates; cross-check an explicit loop
         rng = np.random.default_rng(62)
-        inst = random_instance(4, 1, 1, rng)
-        eps = brute_force_solve(inst, use_banded=True)
-        assert banded_objective(inst, eps) == pytest.approx(
-            exhaustive_minimum(inst), abs=1e-12)
+        inst = random_instance(4, rng)
+        eps = brute_force_solve(inst, 1, 1, use_banded=True)
+        assert banded_objective(inst, eps, 1) == pytest.approx(
+            exhaustive_minimum(inst, 1, 1), abs=1e-12)
 
     def test_exact_objective_mode(self):
         rng = np.random.default_rng(63)
-        inst = random_instance(5, 1, 1, rng)
-        eps = brute_force_solve(inst, use_banded=False)
+        inst = random_instance(5, rng)
+        eps = brute_force_solve(inst, 1, 1, use_banded=False)
         states = state_alphabet(1)
         q = inst.q_dense()
         best = min(
@@ -345,17 +385,17 @@ class TestBruteForce:
 
     def test_banded_exact_gap_bounded(self):
         rng = np.random.default_rng(64)
-        inst = random_instance(8, 1, 1, rng)
-        gap_norm = np.linalg.norm(inst.q_dense() - inst.q_banded_dense(), "fro")
+        inst = random_instance(8, rng)
+        gap_norm = np.linalg.norm(inst.q_dense() - inst.q_banded_dense(1), "fro")
         for _ in range(50):
             eps = (rng.integers(-1, 2, 7) + 1j * rng.integers(-1, 2, 7)).astype(complex)
             exact_form = np.real(np.conj(eps) @ inst.q_dense() @ eps) \
                 + 2 * np.real(np.conj(inst.b) @ eps)
-            gap = abs(banded_objective(inst, eps) - exact_form)
+            gap = abs(banded_objective(inst, eps, 1) - exact_form)
             assert gap <= gap_norm * np.linalg.norm(eps) ** 2 + 1e-9
 
     def test_budget_guard(self):
         rng = np.random.default_rng(65)
-        inst = random_instance(30, 1, 1, rng)
+        inst = random_instance(30, rng)
         with pytest.raises(ValueError):
-            brute_force_solve(inst)
+            brute_force_solve(inst, 1, 1)

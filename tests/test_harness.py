@@ -172,6 +172,40 @@ class TestRunSweep:
         assert len(points[0].results) == 2
         assert np.isfinite(points[0].mean_nmse_db)
 
+    @pytest.mark.parametrize("pipe,message", [
+        (PipelineConfig(p=0, beta=0.05), "^p must be >= 1, got 0"),
+        (PipelineConfig(p=2, v_bound=0, beta=0.05), "^v_bound must be >= 1, got 0"),
+        (PipelineConfig(p=2.5, beta=0.05), "^p must be an integer, got 2.5"),
+        (PipelineConfig(p=200, beta=0.05), "reduce p=200 or v_bound=1"),
+    ], ids=["p0", "v0", "p2.5", "p200"])
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_dp_knobs_checked_for_dp_methods_only(self, method, pipe, message):
+        # a DP method rejects the knob before any trial runs; the other
+        # methods never read p or v_bound, so their rows are the default's
+        kwargs = dict(method=method, scenario="snr_sweep", snr_grid=(30.0,),
+                      trials=2)
+        if METHODS[method].dp:
+            with pytest.raises(ValueError, match=message):
+                small_config(pipeline=pipe, **kwargs)
+            return
+        rows = run_sweep(small_config(pipeline=pipe, **kwargs))[0].results
+        default = run_sweep(small_config(**kwargs))[0].results
+        assert [r.p for r in rows] == [pipe.p] * 2
+        assert [dataclasses.replace(r, p=0, runtime_s=0.0) for r in rows] == \
+            [dataclasses.replace(r, p=0, runtime_s=0.0) for r in default]
+
+    @pytest.mark.parametrize("sampling,message", [
+        (SamplingConfig(n=64, gamma=70.0, lam=0.5, k=2, seed=42),
+         "^band is empty; decrease gamma"),
+        (SamplingConfig(n=3, gamma=10.0, lam=0.5, k=1, seed=42), "^n must be >= 4"),
+    ], ids=["empty_band", "short"])
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_bandlimited_sweep_without_a_band_rejected(self, method, sampling,
+                                                       message):
+        with pytest.raises(ValueError, match=message):
+            small_config(scenario="bandlimited_sweep", snr_grid=(30.0,),
+                         sampling=sampling, method=method)
+
     @pytest.mark.parametrize("method", ["omp_only", "usalg"])
     def test_beta_sweep_of_method_without_beta_rejected(self, method):
         # its points would differ only in their label

@@ -721,3 +721,11 @@ class TestNmse:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             nmse(np.ones(4, dtype=complex), np.ones(5, dtype=complex))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["x_hat", "x"])
+    def test_rejects_non_finite_input(self, bad, name):
+        args = {"x_hat": np.ones(4, dtype=complex), "x": np.ones(4, dtype=complex)}
+        args[name][2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            nmse(**args)

@@ -14,7 +14,7 @@ def planted_instance(rng, n=64, subset_size=45, noise=1e-3):
     m = n - 1
     bins = np.sort(rng.choice(np.arange(m), size=subset_size, replace=False))
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    inst = build_instance(y, 0.5, bins, 2, 1)
+    inst = build_instance(y, 0.5, bins)
     eps_true = (rng.integers(-1, 2, m) + 1j * rng.integers(-1, 2, m)).astype(complex)
     z = -inst.forward(eps_true)
     z = z + noise * (rng.normal(size=subset_size) + 1j * rng.normal(size=subset_size))

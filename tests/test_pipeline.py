@@ -111,8 +111,8 @@ class TestRecoverResidual:
         y = modulo_sample(g, 0.7)
         cfg = PipelineConfig(p=2, beta=0.05)
         res = recover_residual(y, cfg, 0.7, 10.0, method="dp")
-        inst = build_instance(y, 0.7, select_subset(256, 10.0, 0.05), 2, 1)
-        expected = dp_solve(inst)
+        inst = build_instance(y, 0.7, select_subset(256, 10.0, 0.05))
+        expected = dp_solve(inst, 2, 1)
         np.testing.assert_array_equal(res.eps_diff, expected)
         np.testing.assert_array_equal(res.eps, anti_difference(expected))
 

@@ -42,16 +42,16 @@ def test_dp_matches_brute_force(p, extra, seed, data):
     rng = np.random.default_rng(seed)
     bins = np.sort(rng.choice(m, size=size, replace=False))
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
-    inst = build_instance(y, 0.5, bins, p, 1).with_observation(
+    inst = build_instance(y, 0.5, bins).with_observation(
         rng.normal(size=size) + 1j * rng.normal(size=size))
     if m <= p + 1:  # no stage beyond the band: the DP refuses the instance
         with pytest.raises(ValueError, match="too short"):
-            dp_solve(inst)
+            dp_solve(inst, p, 1)
         return
-    eps_dp = dp_solve(inst)
-    eps_bf = brute_force_solve(inst, use_banded=True)
-    assert banded_objective(inst, eps_dp) == pytest.approx(
-        banded_objective(inst, eps_bf), abs=1e-9)
+    eps_dp = dp_solve(inst, p, 1)
+    eps_bf = brute_force_solve(inst, p, 1, use_banded=True)
+    assert banded_objective(inst, eps_dp, p) == pytest.approx(
+        banded_objective(inst, eps_bf, p), abs=1e-9)
 
 
 @PROPERTY_SETTINGS
@@ -70,7 +70,7 @@ def test_interior_beta_gives_valid_bins_or_empty_subset(n, gamma, beta_at):
     # above the signal band, and a valid row set for build_instance
     assert bins[0] > np.floor((n - 1) / gamma)
     np.testing.assert_array_equal(bins, np.arange(bins[0], bins[-1] + 1))
-    inst = build_instance(np.zeros(n, dtype=complex), 1.0, bins, 1, 1)
+    inst = build_instance(np.zeros(n, dtype=complex), 1.0, bins)
     assert inst.n_vars == n - 1
 
 

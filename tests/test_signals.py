@@ -50,6 +50,22 @@ class TestSynth:
         with pytest.raises(ValueError):
             LineSpectrum([0.2, 0.2], [1.0, 1.0])
 
+    @pytest.mark.parametrize("omegas,coeffs,name", [
+        ([0.1, np.nan], [1.0, 1.0], "omegas"),
+        ([0.1, np.inf], [1.0, 1.0], "omegas"),
+        ([0.1, 0.2], [1.0, complex(0.0, np.nan)], "coeffs"),
+        ([0.1, 0.2], [np.inf, 1.0], "coeffs"),
+    ])
+    def test_rejects_non_finite_component(self, omegas, coeffs, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
+            LineSpectrum(omegas, coeffs)
+
+    def test_rejects_non_integer_length(self):
+        spec = LineSpectrum([0.1], [1.0])
+        with pytest.raises(ValueError, match="^n must be an integer, got 2.5"):
+            synth_line_spectral(spec, 2.5)
+        assert synth_line_spectral(spec, np.int64(3)).size == 3
+
 
 class TestRandomSpectrum:
     def test_frequencies_inside_band(self):
@@ -113,6 +129,10 @@ class TestRandomSpectrum:
             gen_random_spectrum(300, 10.0, np.random.default_rng(4),
                                 min_separation=2 * np.pi / 512)
 
+    def test_rejects_non_integer_order(self):
+        with pytest.raises(ValueError, match="^k must be an integer, got 2.0"):
+            gen_random_spectrum(2.0, 10.0, np.random.default_rng(4))
+
     def test_gives_up_after_bounded_redraws(self):
         # ten frequencies fit in the band only when nearly evenly spaced
         sep = 0.999 * (2 * np.pi / 10.0) / 9
@@ -171,6 +191,17 @@ class TestBandlimited:
         atom = np.exp(2j * np.pi * np.arange(n) / n)
         scale = x[0] / atom[0]
         np.testing.assert_allclose(x, scale * atom, atol=1e-12)
+
+    @pytest.mark.parametrize("n,gamma,message", [
+        (200.0, 10.0, "^n must be an integer, got 200.0"),
+        (3, 10.0, "^n must be >= 4"),
+        (64, 70.0, "^band is empty; decrease gamma"),
+    ])
+    def test_rejects_scene_without_a_band(self, n, gamma, message):
+        with pytest.raises(ValueError, match=message):
+            bandlimited_bins(n, gamma)
+        with pytest.raises(ValueError, match=message):
+            gen_bandlimited(n, gamma, np.random.default_rng(9))
 
     def test_seeded_reproducibility(self):
         a = gen_bandlimited(64, 8.0, np.random.default_rng(9))

@@ -156,13 +156,13 @@ class TestSelectSubset:
                 select_subset(n, gamma, beta)
 
 
-def make_instance(n=16, gamma=4.0, beta=0.08, p=2, v=1, seed=26, lam=0.5):
+def make_instance(n=16, gamma=4.0, beta=0.08, seed=26, lam=0.5):
     rng = np.random.default_rng(seed)
     spec = gen_random_spectrum(2, gamma, rng)
     g = synth_line_spectral(spec, n) + 0.05 * (rng.normal(size=n)
                                                + 1j * rng.normal(size=n))
     y = modulo_sample(g, lam)
-    return build_instance(y, lam, select_subset(n, gamma, beta), p, v), y
+    return build_instance(y, lam, select_subset(n, gamma, beta)), y
 
 
 class TestBuildInstance:
@@ -171,7 +171,7 @@ class TestBuildInstance:
         n = 12
         rng = np.random.default_rng(27)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
-        inst = build_instance(y, 0.5, np.arange(n - 1), 2, 1)
+        inst = build_instance(y, 0.5, np.arange(n - 1))
         np.testing.assert_allclose(inst.q_dense(), np.eye(n - 1), atol=1e-12)
 
     def test_gram_matches_dense_product(self):
@@ -180,8 +180,8 @@ class TestBuildInstance:
         np.testing.assert_allclose(inst.q_dense(), fs.conj().T @ fs, atol=1e-12)
 
     def test_banded_gram_zeroes_outside_band(self):
-        inst, _ = make_instance(p=2)
-        qb = inst.q_banded_dense()
+        inst, _ = make_instance()
+        qb = inst.q_banded_dense(2)
         q = inst.q_dense()
         m = inst.n_vars
         for i in range(m):
@@ -237,21 +237,14 @@ class TestBuildInstance:
     def test_bad_bins_rejected(self, bins, problem):
         y = np.zeros(12, dtype=complex)
         with pytest.raises(ValueError, match=problem):
-            build_instance(y, 0.5, np.array(bins), 2, 1)
-
-    @pytest.mark.parametrize("p", [0, 11, 12])
-    def test_band_order_outside_instance_rejected(self, p):
-        # the Gram band has one offset per variable, 0..10 for 11 variables
-        y = np.zeros(12, dtype=complex)
-        with pytest.raises(ValueError, match=f"p must be from 1 to 10, got {p}"):
-            build_instance(y, 0.5, np.arange(3, 6), p, 1)
+            build_instance(y, 0.5, np.array(bins))
 
     def test_recentering_preserves_geometry(self):
         inst, _ = make_instance()
         rng = np.random.default_rng(29)
         z_new = rng.normal(size=inst.bins.size) + 1j * rng.normal(size=inst.bins.size)
         moved = inst.with_observation(z_new)
-        np.testing.assert_array_equal(moved.band, inst.band)
+        np.testing.assert_array_equal(moved.gram_band(2), inst.gram_band(2))
         fs = dense_fs(inst)
         np.testing.assert_allclose(moved.b, fs.conj().T @ z_new, atol=1e-12)
 
@@ -299,13 +292,13 @@ class TestNarrowGuardBand:
         bins = select_subset(n, gamma, beta)
         assert bins.size == size
         g = synth_line_spectral(gen_random_spectrum(1, gamma, rng), n)
-        inst = build_instance(modulo_sample(g, lam), lam, bins, p, 1)
+        inst = build_instance(modulo_sample(g, lam), lam, bins)
         fs = dense_fs(inst)
         assert fs.shape == (size, n - 1)
-        eps_dp = dp_solve(inst)
-        eps_bf = brute_force_solve(inst, use_banded=True)
-        assert banded_objective(inst, eps_dp) == pytest.approx(
-            banded_objective(inst, eps_bf), abs=1e-9)
+        eps_dp = dp_solve(inst, p, 1)
+        eps_bf = brute_force_solve(inst, p, 1, use_banded=True)
+        assert banded_objective(inst, eps_dp, p) == pytest.approx(
+            banded_objective(inst, eps_bf, p), abs=1e-9)
         for eps in (np.zeros(inst.n_vars, dtype=complex), eps_dp):
             assert exact_objective(inst, eps) == pytest.approx(
                 np.linalg.norm(inst.z_s + fs @ eps) ** 2, rel=1e-12, abs=1e-12)
