@@ -9,17 +9,21 @@ the *banded* objective; the brute-force enumerator certifies that on
 test-scale instances.
 
 State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``) with
-the leading variable most significant, and ties are broken by the smallest
-flat index, i.e. lexicographically by (real part, imaginary part) per
-variable.  Each forward stage eliminates one variable: it broadcasts the
-previous value table against the stage's coupling and linear terms into a
-``(B, B^p)`` buffer (eliminated state by key of the next ``p`` states) and
-takes the column minima as the next value table.  Every stage's value table is
-kept, ``(n_vars - p) * B^p`` float64 entries (26.6 MB at ``n_vars = 511``,
-``p = 4``, ``V = 1``); no argmin is stored.  The backward pass re-evaluates
+the leading variable most significant.  Each forward stage eliminates one
+variable: it broadcasts the previous value table against the stage's coupling
+and linear terms into a ``(B, B^p)`` buffer (eliminated state by key of the
+next ``p`` states) and takes the column minima as the next value table.  ``p``
+padding variables follow the last one, held at state 0, which adds nothing to
+any stage term; so every variable has one stage of the same shape, and the
+last value table at the all-padding key (every digit the index of state 0) is
+the minimum.  Every stage's value table is kept, ``(n_vars + 1) * B^p``
+float64 entries (26.9 MB at ``n_vars = 511``, ``p = 4``, ``V = 1``); no argmin
+is stored.  The backward pass starts at the all-padding key and re-evaluates
 the one column of each stage that the states chosen after it select, with the
 forward pass's arithmetic in the same order, and takes its first minimizing
-state.  The ``(B, B^p)`` buffer is reused from stage to stage.
+state.  Ties therefore go to the smallest state index (:func:`state_alphabet`
+order) of the last variable, then of the one before it, and so on.  The
+``(B, B^p)`` buffer is reused from stage to stage.
 """
 
 from __future__ import annotations
@@ -55,7 +59,11 @@ def state_alphabet(v_bound: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DpStats:
-    """Work counters for one solve, used by complexity regression tests."""
+    """Work counters for one solve, used by complexity regression tests:
+    ``n_stages = n_vars`` forward stages, ``state_count = B`` states,
+    ``candidates_evaluated = n_vars * B^(p+1)`` stage entries (the padding
+    variables' keys included) and ``value_table_entries = B^p`` per kept
+    table."""
 
     n_stages: int
     state_count: int
@@ -101,12 +109,15 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     """Globally minimize the objective truncated to band order ``p`` over
     states with ``|Re|, |Im| <= v_bound``.
 
-    Runs the forward value recursion over stage tables keyed by ``p``-tuples
-    of states, keeping each stage's value table (``(n_vars - p) * B^p``
-    float64 entries in all), enumerates the trailing ``(p+1)``-variable block
-    exactly, and backtracks by re-evaluating one stage column per variable
-    against the kept values.  Re-centering passes an instance re-observed
-    around the current estimate (:meth:`QuadraticInstance.with_observation`).
+    Runs one forward stage per variable over value tables keyed by
+    ``p``-tuples of states, with ``p`` padding variables held at state 0 after
+    the last one, keeping each stage's value table (``(n_vars + 1) * B^p``
+    float64 entries in all), and backtracks from the all-padding key by
+    re-evaluating one stage column per variable against the kept values.  Of
+    several exact minimizers it returns the one whose last variable has the
+    smallest :func:`state_alphabet` index, then the one before it, and so
+    on.  Re-centering passes an instance re-observed around the current
+    estimate (:meth:`QuadraticInstance.with_observation`).
 
     Returns the minimizing Gaussian-integer sequence (``complex128`` with
     integral parts), plus a :class:`DpStats` when ``return_stats`` is set.
@@ -121,7 +132,6 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     states = state_alphabet(v_bound)
     bsz = states.size
 
-    n_stages = m - p
     band = inst.gram_band(p)
 
     # Per-key digit tables: digit t of key is the state index of variable
@@ -139,53 +149,33 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     # Stage k: stage[s, key] = (values[k, s * B^(p-1) + key // B] + cross[s, key])
     # + lin[k, s], where s is the state of variable k and values[k] is keyed
     # by the states of variables k..k+p-1.  Its column minima are values[k+1].
-    values = np.empty((n_stages, bsz ** p))
+    # Variables m..m+p-1 are padding: only keys whose padding digits are the
+    # index of state 0 are ever read, and there they add nothing to cross.
+    values = np.empty((m + 1, bsz ** p))
     values[0] = 0.0
     stage = np.empty((bsz, bsz ** p))
     cross3 = cross.reshape(bsz, bsz ** (p - 1), bsz)
     stage3 = stage.reshape(cross3.shape)
-    for k in range(n_stages - 1):
+    for k in range(m):
         np.add(values[k].reshape(bsz, bsz ** (p - 1), 1), cross3, out=stage3)
         stage += lin[k][:, None]
         np.minimum.reduce(stage, axis=0, out=values[k + 1])
-    evaluated = (n_stages - 1) * stage.size
 
-    # Trailing block: enumerate all (p+1)-tuples, axis i = variable
-    # n_stages-1+i, leading axis most significant.
-    tail = np.zeros((bsz,) * (p + 1))
-    for i in range(p + 1):
-        shape = [1] * (p + 1)
-        shape[i] = bsz
-        tail = tail + lin[n_stages - 1 + i].reshape(shape)
-    for i in range(p + 1):
-        for j in range(i + 1, p + 1):
-            pair = 2.0 * np.real(np.conj(states)[:, None]
-                                 * (band[j - i] * states)[None, :])
-            shape = [1] * (p + 1)
-            shape[i], shape[j] = bsz, bsz
-            tail = tail + pair.reshape(shape)
-    total = values[-1][:, None] + tail.reshape(bsz ** p, bsz)
-    evaluated += total.size
-    best = int(np.argmin(total))
-
-    eps = np.zeros(m, dtype=complex)
-    rem = best
-    for i in range(p + 1):
-        digit, rem = divmod(rem, bsz ** (p - i))
-        eps[n_stages - 1 + i] = states[digit]
-    # Backtrack: re-evaluate the one stage column the next states select, in
+    # Backtrack from the all-padding key (every digit bsz // 2, the index of
+    # state 0): re-evaluate the one stage column the next states select, in
     # the forward pass's order of operations, so argmin finds the same first
     # minimizing state.
-    key = best // bsz
-    for k in range(n_stages - 2, -1, -1):
+    key = bsz // 2 * (bsz ** p - 1) // (bsz - 1)
+    eps = np.empty(m, dtype=complex)
+    for k in range(m - 1, -1, -1):
         s = int(np.argmin((values[k, key // bsz::bsz ** (p - 1)] + cross[:, key])
                           + lin[k]))
         eps[k] = states[s]
         key = s * bsz ** (p - 1) + key // bsz
 
     if return_stats:
-        stats = DpStats(n_stages=n_stages, state_count=bsz,
-                        candidates_evaluated=evaluated,
+        stats = DpStats(n_stages=m, state_count=bsz,
+                        candidates_evaluated=m * stage.size,
                         value_table_entries=bsz ** p)
         return eps, stats
     return eps

@@ -113,22 +113,24 @@ class ExperimentConfig:
 
 @dataclass(frozen=True)
 class TrialResult:
-    """One recovery attempt, scored."""
+    """One recovery attempt, scored; ``p`` and ``beta`` are ``None`` for a
+    method without the DP, which reads neither."""
 
     trial_id: int
     seed: int
     method: str
-    p: int
-    beta: float
+    p: int | None
+    beta: float | None
     snr_db: float
     nmse_db: float
     success: bool
     runtime_s: float
 
     def as_row(self) -> list:
+        # csv writes None as an empty cell
         return [self.trial_id, self.seed, self.method, self.p,
-                f"{self.beta:.6g}", f"{self.snr_db:.6g}",
-                f"{self.nmse_db:.6f}", int(self.success),
+                None if self.beta is None else f"{self.beta:.6g}",
+                f"{self.snr_db:.6g}", f"{self.nmse_db:.6f}", int(self.success),
                 f"{self.runtime_s:.6f}"]
 
 
@@ -174,9 +176,10 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     score = nmse(x_hat, x)
     runtime = time.perf_counter() - start
 
+    dp = METHODS[cfg.method].dp
     return TrialResult(trial_id=trial_index, seed=seed, method=cfg.method,
-                       p=pipe.p, beta=pipe.beta, snr_db=samp.snr_db,
-                       nmse_db=score,
+                       p=pipe.p if dp else None, beta=pipe.beta if dp else None,
+                       snr_db=samp.snr_db, nmse_db=score,
                        success=bool(score < cfg.success_threshold_db),
                        runtime_s=runtime)
 

@@ -219,7 +219,6 @@ def reference_dp_solve(inst, p, v):
     m, b = inst.n_vars, inst.b
     states = state_alphabet(v)
     bsz = states.size
-    n_stages = m - p
     band = inst.gram_band(p)
     q0 = float(band[0].real)
 
@@ -233,9 +232,9 @@ def reference_dp_solve(inst, p, v):
     base_quad = q0 * np.abs(states) ** 2
 
     value = np.zeros(bsz ** p)
-    argmins = np.empty((n_stages - 1, bsz ** p), dtype=np.min_scalar_type(bsz - 1))
+    argmins = np.empty((m, bsz ** p), dtype=np.min_scalar_type(bsz - 1))
     evaluated = 0
-    for k in range(n_stages - 1):
+    for k in range(m):
         stage = value[prev_key] + cross \
             + (base_quad + 2.0 * np.real(np.conj(states) * b[k]))[:, None]
         argmins[k] = np.argmin(stage, axis=0)
@@ -243,35 +242,15 @@ def reference_dp_solve(inst, p, v):
                                    axis=0)[0]
         evaluated += stage.size
 
-    tail = np.zeros((bsz,) * (p + 1))
-    for i in range(p + 1):
-        shape = [1] * (p + 1)
-        shape[i] = bsz
-        tail = tail + (base_quad + 2.0 * np.real(
-            np.conj(states) * b[n_stages - 1 + i])).reshape(shape)
-    for i in range(p + 1):
-        for j in range(i + 1, p + 1):
-            pair = 2.0 * np.real(np.conj(states)[:, None]
-                                 * (band[j - i] * states)[None, :])
-            shape = [1] * (p + 1)
-            shape[i], shape[j] = bsz, bsz
-            tail = tail + pair.reshape(shape)
-    tail = tail.reshape(-1)
-    total = value[np.arange(bsz ** (p + 1)) // bsz] + tail
-    evaluated += total.size
-    best = int(np.argmin(total))
-
+    # p padding variables at state 0 follow the last one: start from the key
+    # whose every digit is the index of state 0
     eps = np.zeros(m, dtype=complex)
-    rem = best
-    for i in range(p + 1):
-        digit, rem = divmod(rem, bsz ** (p - i))
-        eps[n_stages - 1 + i] = states[digit]
-    key = best // bsz
-    for k in range(n_stages - 2, -1, -1):
+    key = int(np.flatnonzero(states == 0)[0]) * (bsz ** p - 1) // (bsz - 1)
+    for k in range(m - 1, -1, -1):
         s = int(argmins[k][key])
         eps[k] = states[s]
         key = s * bsz ** (p - 1) + key // bsz
-    return eps, DpStats(n_stages=n_stages, state_count=bsz,
+    return eps, DpStats(n_stages=m, state_count=bsz,
                         candidates_evaluated=evaluated,
                         value_table_entries=bsz ** p)
 
@@ -333,6 +312,26 @@ class TestMatchesReferenceSolver:
         eps = assert_matches_reference(
             dataclasses.replace(flat, b=np.zeros(inst.n_vars, dtype=complex)), p, v)
         np.testing.assert_array_equal(eps, np.full(inst.n_vars, -v - 1j * v))
+
+    def test_ties_go_to_last_variable_first(self):
+        # the second draw of test_random_instances[2-1]: several states tie
+        # at the minimum, and brute force (leading variable most significant)
+        # picks another of them
+        rng = np.random.default_rng(91)
+        for _ in range(2):
+            inst = random_instance(int(rng.integers(5, 14)), rng)
+        assert inst.n_vars == 4 and list(inst.bins) == [0, 2]
+        p, v = 2, 1
+        eps, stats = dp_solve(inst, p, v, return_stats=True)
+        np.testing.assert_array_equal(eps, [-1 + 1j, 1 - 1j, -1, -1j])
+        eps_bf = brute_force_solve(inst, p, v)
+        np.testing.assert_array_equal(eps_bf, [-1, -1j, -1 + 1j, 1 - 1j])
+        assert banded_objective(inst, eps, p) == banded_objective(inst, eps_bf, p) \
+            == -4.888230670450156
+        # one stage per variable, each the size check_dp_budget admits
+        assert stats.n_stages == inst.n_vars
+        assert stats.candidates_evaluated == inst.n_vars * (2 * v + 1) ** (2 * (p + 1))
+        assert_matches_reference(inst, p, v)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("extra", [2, 3])

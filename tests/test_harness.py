@@ -190,9 +190,9 @@ class TestRunSweep:
             return
         rows = run_sweep(small_config(pipeline=pipe, **kwargs))[0].results
         default = run_sweep(small_config(**kwargs))[0].results
-        assert [r.p for r in rows] == [pipe.p] * 2
-        assert [dataclasses.replace(r, p=0, runtime_s=0.0) for r in rows] == \
-            [dataclasses.replace(r, p=0, runtime_s=0.0) for r in default]
+        assert [(r.p, r.beta) for r in rows] == [(None, None)] * 2
+        assert [dataclasses.replace(r, runtime_s=0.0) for r in rows] == \
+            [dataclasses.replace(r, runtime_s=0.0) for r in default]
 
     @pytest.mark.parametrize("sampling,message", [
         (SamplingConfig(n=64, gamma=70.0, lam=0.5, k=2, seed=42),
@@ -337,3 +337,13 @@ class TestTrialCsv:
         for row_a, row_b in zip(path_a.read_text().splitlines()[1:],
                                 path_b.read_text().splitlines()[1:]):
             assert row_a.rsplit(",", 1)[0] == row_b.rsplit(",", 1)[0]
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_knob_cells_written_for_dp_methods_only(self, method, tmp_path):
+        # p and beta shape only the DP methods' rows
+        path = tmp_path / "trials.csv"
+        write_trials_csv(path, [run_trial(small_config(method=method), 0)])
+        header, row = (line.split(",") for line in path.read_text().splitlines())
+        cells = dict(zip(header, row))
+        expected = ("2", "0.05") if METHODS[method].dp else ("", "")
+        assert (cells["p"], cells["beta"]) == expected
