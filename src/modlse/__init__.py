@@ -5,9 +5,9 @@ package unfolds heavily oversampled records by solving a banded
 Gaussian-integer least-squares problem in the difference/Fourier domain
 (exact dynamic programming plus greedy lattice refinement) and then
 estimates the line spectrum of the unfolded signal with a Newton-refined
-greedy estimator.  Analytic bounds that justify the construction ship with
-checkable property suites, and a Monte Carlo harness reproduces the
-method's behaviour at desk scale.
+greedy estimator.  The analytic bounds that justify the construction are
+exposed as functions, and a Monte Carlo harness reproduces the method's
+behaviour at desk scale.
 """
 
 from . import baseline, bounds, dp, harness, lse, omp, pipeline, signals, transform

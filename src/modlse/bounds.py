@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .signals import LineSpectrum
+from .signals import LineSpectrum, check_gamma, check_lam_gamma, checked_int
 
 __all__ = [
     "residual_state_bound",
@@ -33,8 +33,11 @@ def residual_state_bound(k: int, c_max: float, lam: float, gamma: float) -> int:
     Both integer parts of every first-differenced folding count lie in
     ``{-V..V}`` with ``V = floor(k*pi*c_max / (lam*gamma) + 1)``.
     """
-    if min(k, c_max, lam, gamma) <= 0:
-        raise ValueError("all arguments must be positive")
+    if checked_int("k", k) < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if not (np.isfinite(c_max) and c_max > 0):
+        raise ValueError(f"c_max must be finite and positive, got {c_max!r}")
+    check_lam_gamma(lam, gamma)
     return int(np.floor(k * np.pi * c_max / (lam * gamma) + 1.0))
 
 
@@ -54,14 +57,18 @@ def leakage_bound(spectrum: LineSpectrum, n: int, gamma: float, bin_index: int) 
 
     Bounds the magnitude of bin ``bin_index`` (0-based, strictly above
     ``floor((n-1)/gamma)``) of the unitary DFT of the first difference of the
-    length-``n`` signal synthesized from ``spectrum``.  Exactly on-grid
-    spectra produce zero leakage and return 0.
+    length-``n`` signal synthesized from ``spectrum``, whose frequencies must
+    lie in ``[0, 2*pi/gamma]``.  Exactly on-grid spectra produce zero leakage
+    and return 0.
     """
-    m = n - 1
-    if bin_index <= int(np.floor(m / gamma)):
-        raise ValueError("bin lies inside the signal band")
+    m = checked_int("n", n) - 1
+    check_gamma(gamma)
+    if not np.all((spectrum.omegas >= 0) & (spectrum.omegas <= 2.0 * np.pi / gamma)):
+        raise ValueError("spectrum frequencies must lie in [0, 2*pi/gamma]")
+    if checked_int("bin_index", bin_index) <= int(np.floor(m / gamma)):
+        raise ValueError(f"bin_index {bin_index} lies inside the signal band")
     if bin_index > m - 1:
-        raise ValueError("bin index out of range")
+        raise ValueError(f"bin_index {bin_index} is out of range")
     _, delta = grid_offsets(spectrum.omegas, n)
     delta_max = float(np.max(np.abs(delta)))
     if delta_max == 0.0:
@@ -80,17 +87,22 @@ def _wrap_distance(x: np.ndarray) -> np.ndarray:
     return np.where(fr < 0.5, fr, 1.0 - fr)
 
 
+def _check_exclusion(n: int, m_excluded: int) -> None:
+    if not 2 <= checked_int("m_excluded", m_excluded) < checked_int("n", n):
+        raise ValueError("m_excluded must satisfy 2 <= m_excluded < n")
+
+
 def band_energy_ratio(n: int, m_excluded: int, p: int) -> float:
     """Exact ``|Q_banded|_F^2 / |Q|_F^2`` for a contiguous guard-band Gram matrix.
 
     ``m_excluded`` is the number of bins left out of the selection
     (``n - |S|``); ``p`` is the band half-width.  ``p = 0`` keeps only the
-    diagonal and the ratio reduces to ``1 - (m_excluded-1)/(n-1)``.
+    diagonal and the ratio reduces to ``1 - (m_excluded-1)/(n-1)``; ``p``
+    may not exceed ``n - 2``, the largest offset in the Gram matrix.
     """
-    if not 2 <= m_excluded < n:
-        raise ValueError("m_excluded must satisfy 2 <= m_excluded < n")
-    if p < 0:
-        raise ValueError("p must be non-negative")
+    _check_exclusion(n, m_excluded)
+    if not 0 <= checked_int("p", p) <= n - 2:
+        raise ValueError(f"p must satisfy 0 <= p <= n - 2, got {p}")
     big_l = n - 1
     out = 1.0 - (m_excluded - 1) / big_l
     if p == 0:
@@ -104,10 +116,9 @@ def band_energy_ratio(n: int, m_excluded: int, p: int) -> float:
 def band_energy_lower_bound(n: int, m_excluded: int, p: int) -> float:
     """Closed-form lower bound on :func:`band_energy_ratio`, valid for
     ``p <= (n-1)/2``."""
-    if not 2 <= m_excluded < n:
-        raise ValueError("m_excluded must satisfy 2 <= m_excluded < n")
-    if p < 0 or 2 * p > n - 1:
-        raise ValueError("p must satisfy 0 <= p <= (n-1)/2")
+    _check_exclusion(n, m_excluded)
+    if not 0 <= 2 * checked_int("p", p) <= n - 1:
+        raise ValueError(f"p must satisfy 0 <= p <= (n-1)/2, got {p}")
     big_l = n - 1
     eta = (m_excluded - 1) / big_l
     out = 1.0 - eta

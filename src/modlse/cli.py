@@ -5,7 +5,6 @@ Subcommands
 simulate    draw a scene and write folded/unfolded IQ CSV files
 recover     run one recovery method on an IQ file
 experiment  run a configured Monte Carlo sweep, writing CSV + JSON
-prop-check  run the analytic property suites
 ingest      validate an IQ file and print a short summary
 
 The ``experiment`` subcommand reads a ``key = value`` config file (one pair
@@ -30,7 +29,6 @@ import numpy as np
 
 from .harness import (
     ExperimentConfig,
-    check_properties,
     read_iq_csv,
     run_sweep,
     write_iq_csv,
@@ -209,13 +207,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_prop_check(args) -> int:
-    report = check_properties(**{k: v for k, v in vars(args).items()
-                                 if k in ("draws", "n_max", "seed") and v is not None})
-    print(report)
-    return 0 if report.all_passed else 1
-
-
 def _cmd_ingest(args) -> int:
     signal = read_iq_csv(args.input)
     print(f"{args.input}: {signal.size} samples")
@@ -250,12 +241,6 @@ def main(argv=None) -> int:
     _add_flags(exp, ("seed", "trials", "p", "beta", "snr", "gamma", "lambda",
                      "method"))
     exp.set_defaults(func=_cmd_experiment)
-
-    prop = subs.add_parser("prop-check", help="run the analytic property suites")
-    prop.add_argument("--draws", type=int)
-    prop.add_argument("--n-max", dest="n_max", type=int)
-    prop.add_argument("--seed", type=int)
-    prop.set_defaults(func=_cmd_prop_check)
 
     ing = subs.add_parser("ingest", help="validate and summarize an IQ file")
     ing.add_argument("input")

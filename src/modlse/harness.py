@@ -1,4 +1,4 @@
-"""Batch experiment engine: seeded trials, sweeps, property suites, file I/O.
+"""Batch experiment engine: seeded trials, sweeps, file I/O.
 
 Every trial derives its own random stream from ``(master seed, grid point,
 trial index)``, so results are reproducible and independent of how trials
@@ -17,12 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .bounds import (
-    band_energy_lower_bound,
-    band_energy_ratio,
-    leakage_bound,
-    residual_state_bound,
-)
 from .dp import check_dp_budget
 from .lse import nmse, nomp
 from .pipeline import (
@@ -42,7 +36,7 @@ from .signals import (
     residual_decompose,
     synth_line_spectral,
 )
-from .transform import dft, first_difference, select_subset
+from .transform import select_subset
 
 __all__ = [
     "ExperimentConfig",
@@ -50,8 +44,6 @@ __all__ = [
     "run_trial",
     "run_sweep",
     "SweepPoint",
-    "check_properties",
-    "PropertyReport",
     "read_iq_csv",
     "write_iq_csv",
     "write_trials_csv",
@@ -245,122 +237,6 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
             mean_runtime_s=float(np.mean([r.runtime_s for r in results])),
             results=results))
     return points
-
-
-# ---------------------------------------------------------------------------
-# Property suites
-
-
-@dataclass(frozen=True)
-class PropertyCheck:
-    name: str
-    passed: bool
-    worst_margin: float
-    detail: str
-
-    def line(self) -> str:
-        status = "PASS" if self.passed else "FAIL"
-        return f"[{status}] {self.name}: worst margin {self.worst_margin:+.3e} ({self.detail})"
-
-
-@dataclass(frozen=True)
-class PropertyReport:
-    checks: list[PropertyCheck]
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def __str__(self) -> str:
-        return "\n".join(c.line() for c in self.checks)
-
-
-def _check_state_bound(rng: np.random.Generator, draws: int) -> PropertyCheck:
-    worst = -np.inf
-    n = 128
-    for _ in range(draws):
-        gamma = float(rng.choice([5.0, 10.0, 20.0]))
-        k = int(rng.integers(1, 6))
-        lam = float(rng.uniform(0.3, 1.0))
-        spec = gen_random_spectrum(k, gamma, rng)
-        x = synth_line_spectral(spec, n)
-        y = modulo_sample(x, lam)
-        eps = residual_decompose(x, y, lam)
-        eps_d = first_difference(eps)
-        observed = max(np.max(np.abs(eps_d.real)), np.max(np.abs(eps_d.imag)))
-        bound = residual_state_bound(k, float(np.max(np.abs(spec.coeffs))),
-                                     lam, gamma)
-        worst = max(worst, observed - bound)
-    return PropertyCheck("difference-domain state bound", worst <= 0.0, worst,
-                         f"{draws} random noiseless scenes")
-
-
-def _check_leakage(rng: np.random.Generator, draws: int) -> PropertyCheck:
-    worst = -np.inf
-    n = 128
-    for _ in range(draws):
-        gamma = float(rng.choice([5.0, 10.0, 20.0]))
-        k = int(rng.integers(1, 6))
-        spec = gen_random_spectrum(k, gamma, rng)
-        x = synth_line_spectral(spec, n)
-        leak = np.abs(dft(first_difference(x)))
-        lo = int(np.floor((n - 1) / gamma))
-        for b in range(lo + 1, n - 1):
-            margin = leak[b] - leakage_bound(spec, n, gamma, b)
-            worst = max(worst, margin)
-    return PropertyCheck("guard-band leakage bound", worst <= 1e-9, worst,
-                         f"{draws} random off-grid spectra, all guard bins")
-
-
-def _check_energy_ratio(n_max: int) -> tuple[PropertyCheck, PropertyCheck]:
-    worst_eq = 0.0
-    worst_lb = -np.inf
-    for n in range(4, n_max + 1):
-        big_l = n - 1
-        f = np.exp(-2j * np.pi * np.outer(np.arange(big_l), np.arange(big_l))
-                   / big_l) / np.sqrt(big_l)
-        for m_excl in range(2, n):
-            bins = np.arange(n - m_excl)
-            fs = f[bins, :]
-            q = fs.conj().T @ fs
-            q_norm = float(np.linalg.norm(q, "fro") ** 2)
-            offsets = np.abs(np.subtract.outer(np.arange(big_l), np.arange(big_l)))
-            for p in range(0, big_l // 2 + 1):
-                direct = float(np.linalg.norm(np.where(offsets <= p, q, 0.0),
-                                              "fro") ** 2) / q_norm
-                ratio = band_energy_ratio(n, m_excl, p)
-                lower = band_energy_lower_bound(n, m_excl, p)
-                worst_eq = max(worst_eq, abs(ratio - direct))
-                worst_lb = max(worst_lb, lower - ratio)
-    eq = PropertyCheck("band energy ratio equals direct Frobenius",
-                       worst_eq <= 1e-10, worst_eq, f"all n <= {n_max}")
-    lb = PropertyCheck("band energy lower bound never exceeds ratio",
-                       worst_lb <= 1e-12, worst_lb, f"all n <= {n_max}")
-    return eq, lb
-
-
-def check_properties(draws: int = 200, n_max: int = 32,
-                     seed: int = 0) -> PropertyReport:
-    """Run the bound property suites and report pass/fail with margins.
-
-    Fewer than one draw or an ``n_max`` below 4 would check nothing."""
-    if checked_int("draws", draws) < 1:
-        raise ValueError(f"draws must be >= 1, got {draws}")
-    if checked_int("n_max", n_max) < 4:
-        raise ValueError(f"n_max must be >= 4, got {n_max}")
-    rng = np.random.default_rng(checked_int("seed", seed))
-    checks = [_check_state_bound(rng, draws), _check_leakage(rng, draws)]
-    checks.extend(_check_energy_ratio(n_max))
-    table = []
-    for p in range(1, 5):
-        table.append(band_energy_lower_bound(800001, 100001, p))
-    expected = (0.890, 0.904, 0.918, 0.933)
-    worst = max(abs(a - b) for a, b in zip(table, expected))
-    checks.append(PropertyCheck(
-        "banded energy floor at one-eighth exclusion",
-        worst <= 2e-3, worst,
-        "p=1..4 -> " + ", ".join(f"{v:.3f}" for v in table)))
-    return PropertyReport(checks)
 
 
 # ---------------------------------------------------------------------------

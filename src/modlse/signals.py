@@ -72,12 +72,17 @@ def check_lam(lam: float) -> None:
         raise ValueError(f"lam must be finite and positive, got {lam!r}")
 
 
+def check_gamma(gamma: float) -> None:
+    """Reject an oversampling factor ``gamma`` that is not finite and above 1."""
+    if not (np.isfinite(gamma) and gamma > 1):
+        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+
+
 def check_lam_gamma(lam: float, gamma: float) -> None:
     """Reject a folding threshold ``lam`` that is not finite and positive, or
     an oversampling factor ``gamma`` that is not finite and above 1."""
     check_lam(lam)
-    if not (np.isfinite(gamma) and gamma > 1):
-        raise ValueError(f"gamma must be finite and exceed 1, got {gamma!r}")
+    check_gamma(gamma)
 
 
 def check_snr(snr_db: float) -> None:
@@ -161,15 +166,19 @@ def gen_random_spectrum(k: int, gamma: float, rng: np.random.Generator,
     phases are uniform on ``(0, 2*pi)``.  When ``min_separation`` is given,
     draws whose minimum pairwise frequency gap falls below it are rejected
     wholesale; simulation callers pass ``2*pi/n`` so that every scene is
-    resolvable at its record length.  Raises ``ValueError`` if the band
-    cannot hold ``k`` frequencies that far apart, or if ``MAX_REDRAWS``
-    draws in a row are rejected.
+    resolvable at its record length.  Raises ``ValueError``, before any draw,
+    if ``gamma`` is not finite and above 1, if ``min_separation`` is NaN or
+    negative, or if the band cannot hold ``k`` frequencies that far apart;
+    also if ``MAX_REDRAWS`` draws in a row are rejected.
     """
     if checked_int("k", k) < 1:
         raise ValueError("k must be >= 1")
+    check_gamma(gamma)
     hi = 2.0 * np.pi / gamma
     if min_separation is None:
         min_separation = 0.0
+    if not min_separation >= 0:
+        raise ValueError(f"min_separation must be non-negative, got {min_separation!r}")
     crowded = ValueError(
         f"cannot draw k={k} frequencies at least min_separation="
         f"{min_separation:g} apart in the band (0, 2*pi/gamma), gamma={gamma:g}")
@@ -197,10 +206,11 @@ def bandlimited_bins(n: int, gamma: float) -> int:
     The band covers bins ``1..floor(n/gamma)``, clipped below the Nyquist
     bin: ``min(floor(n/gamma), (n-1)//2)``.  It is the model order of a
     bandlimited scene.  Raises ``ValueError`` if ``n`` is not an integer
-    >= 4 or the band is empty.
+    >= 4, ``gamma`` is not finite and above 1, or the band is empty.
     """
     if checked_int("n", n) < 4:
         raise ValueError("n must be >= 4")
+    check_gamma(gamma)
     bins = min(int(np.floor(n / gamma)), (n - 1) // 2)
     if bins < 1:
         raise ValueError("band is empty; decrease gamma")

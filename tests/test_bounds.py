@@ -29,6 +29,20 @@ class TestStateBound:
         with pytest.raises(ValueError):
             residual_state_bound(0, 1.0, 1.0, 10.0)
 
+    @pytest.mark.parametrize("args,message", [
+        ((2.5, 1.0, 0.7, 10.0), "^k must be an integer, got 2.5"),
+        ((3, np.inf, 0.7, 10.0), "^c_max must be finite and positive, got inf"),
+        ((3, np.nan, 0.7, 10.0), "^c_max must be finite and positive, got nan"),
+        ((3, 1.0, np.inf, 10.0), "^lam must be finite and positive, got inf"),
+        ((3, 1.0, np.nan, 10.0), "^lam must be finite and positive, got nan"),
+        ((3, 1.0, 0.7, 1.0), "^gamma must be finite and exceed 1, got 1.0"),
+        ((3, 1.0, 0.7, np.inf), "^gamma must be finite and exceed 1, got inf"),
+        ((3, 1.0, 0.7, np.nan), "^gamma must be finite and exceed 1, got nan"),
+    ])
+    def test_rejects_argument_outside_formula(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            residual_state_bound(*args)
+
     def test_empirical_verification(self):
         # noiseless scenes never violate the difference-domain bound
         rng = np.random.default_rng(40)
@@ -108,6 +122,26 @@ class TestLeakageBound:
         with pytest.raises(ValueError):
             leakage_bound(spec, 128, 10.0, 5)
 
+    @pytest.mark.parametrize("n,gamma,bin_index,message", [
+        (128, 10.0, 20.5, "^bin_index must be an integer, got 20.5"),
+        (128.0, 10.0, 20, "^n must be an integer, got 128.0"),
+        (128, 0.5, 20, "^gamma must be finite and exceed 1, got 0.5"),
+        (128, 1.0, 20, "^gamma must be finite and exceed 1, got 1.0"),
+        (128, np.inf, 20, "^gamma must be finite and exceed 1, got inf"),
+        (128, np.nan, 20, "^gamma must be finite and exceed 1, got nan"),
+    ])
+    def test_rejects_argument_outside_formula(self, n, gamma, bin_index, message):
+        spec = LineSpectrum([0.1], [1.0])
+        with pytest.raises(ValueError, match=message):
+            leakage_bound(spec, n, gamma, bin_index)
+
+    @pytest.mark.parametrize("omega", [-0.1, 0.7])
+    def test_rejects_tone_outside_signal_band(self, omega):
+        # the bound does not hold for these: the leakage exceeds it by 1.1 and 6.6
+        spec = LineSpectrum([omega], [1.0])
+        with pytest.raises(ValueError, match=r"^spectrum frequencies must lie in"):
+            leakage_bound(spec, 128, 10.0, 20)
+
 
 def dense_energy_ratio(n, m_excl, p, start=0):
     """Independent oracle: build Q = F_S^H F_S explicitly and take norms."""
@@ -133,9 +167,10 @@ class TestBandEnergyRatio:
                 1 - (m_excl - 1) / (n - 1), abs=1e-15)
 
     def test_matches_dense_oracle_sweep(self):
+        # every band half-width up to n - 2, the largest Gram offset
         for n in (5, 8, 13, 21):
             for m_excl in range(2, n):
-                for p in range(0, (n - 1) // 2 + 1):
+                for p in range(0, n - 1):
                     assert band_energy_ratio(n, m_excl, p) == pytest.approx(
                         dense_energy_ratio(n, m_excl, p), abs=1e-10)
 
@@ -150,6 +185,18 @@ class TestBandEnergyRatio:
             band_energy_ratio(10, 1, 1)
         with pytest.raises(ValueError):
             band_energy_ratio(10, 10, 1)
+
+    @pytest.mark.parametrize("args,message", [
+        ((10, 3, 1.5), "^p must be an integer, got 1.5"),
+        ((10, 3, -1), "^p must satisfy 0 <= p <= n - 2, got -1"),
+        ((10, 3, 9), "^p must satisfy 0 <= p <= n - 2, got 9"),
+        ((10, 3, 20), "^p must satisfy 0 <= p <= n - 2, got 20"),
+        ((10.0, 3, 1), "^n must be an integer, got 10.0"),
+        ((10, 3.0, 1), "^m_excluded must be an integer, got 3.0"),
+    ])
+    def test_rejects_argument_outside_formula(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            band_energy_ratio(*args)
 
 
 class TestBandEnergyLowerBound:
@@ -171,3 +218,12 @@ class TestBandEnergyLowerBound:
     def test_rejects_wide_band(self):
         with pytest.raises(ValueError):
             band_energy_lower_bound(11, 4, 6)
+
+    @pytest.mark.parametrize("args,message", [
+        ((10, 3, 1.5), "^p must be an integer, got 1.5"),
+        ((10.0, 3, 1), "^n must be an integer, got 10.0"),
+        ((10, 3.0, 1), "^m_excluded must be an integer, got 3.0"),
+    ])
+    def test_rejects_non_integer_argument(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            band_energy_lower_bound(*args)

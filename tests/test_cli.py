@@ -6,7 +6,6 @@ import pytest
 from modlse import (
     ExperimentConfig,
     PipelineConfig,
-    PropertyReport,
     SamplingConfig,
     read_iq_csv,
 )
@@ -273,28 +272,3 @@ class TestCliCommands:
         rows = (tmp_path / "run_trials.csv").read_text().splitlines()
         assert len(rows) == 3
         assert all(",usalg," in r for r in rows[1:])
-
-    def test_prop_check_passes(self, capsys):
-        assert main(["prop-check", "--draws", "20", "--n-max", "12"]) == 0
-        out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
-
-    @pytest.mark.parametrize("argv,problem", [
-        (["--draws", "0", "--n-max", "3"], "draws must be >= 1, got 0"),
-        (["--draws", "0"], "draws must be >= 1, got 0"),
-        (["--n-max", "3"], "n_max must be >= 4, got 3"),
-    ])
-    def test_prop_check_vacuous_run_is_one_line_error(self, argv, problem, capsys):
-        assert main(["prop-check", *argv]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"modlse prop-check: error: {problem}\n"
-        assert "[PASS]" not in captured.out
-
-    def test_prop_check_passes_only_set_flags(self, capsys, monkeypatch):
-        import modlse.cli as cli
-        seen = []
-        monkeypatch.setattr(cli, "check_properties",
-                            lambda **kw: seen.append(kw) or PropertyReport([]))
-        assert main(["prop-check"]) == 0
-        assert main(["prop-check", "--seed", "3"]) == 0
-        assert seen == [{}, {"seed": 3}]

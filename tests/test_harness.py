@@ -10,7 +10,6 @@ from modlse import (
     ExperimentConfig,
     PipelineConfig,
     SamplingConfig,
-    check_properties,
     read_iq_csv,
     recover_line_spectrum,
     run_sweep,
@@ -255,23 +254,6 @@ class TestRunSweep:
                                                    k=2, snr_db=30.0, seed=9))
         rates = [pt.success_rate for pt in run_sweep(cfg)]
         assert all(b >= a - 0.1 for a, b in zip(rates, rates[1:]))
-
-
-class TestPropertyReport:
-    def test_default_suites_pass(self):
-        report = check_properties(draws=40, n_max=16, seed=0)
-        assert report.all_passed
-        text = str(report)
-        assert text.count("[PASS]") == 5
-        assert "FAIL" not in text
-
-    @pytest.mark.parametrize("kwargs,name", [
-        (dict(draws=2.5), "draws"), (dict(n_max=8.5), "n_max"),
-        (dict(seed=1.5), "seed"),
-    ])
-    def test_non_integer_argument_rejected(self, kwargs, name):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
-            check_properties(**kwargs)
 
 
 class TestIqFiles:

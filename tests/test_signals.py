@@ -133,6 +133,22 @@ class TestRandomSpectrum:
         with pytest.raises(ValueError, match="^k must be an integer, got 2.0"):
             gen_random_spectrum(2.0, 10.0, np.random.default_rng(4))
 
+    @pytest.mark.parametrize("gamma,sep,message", [
+        (0.0, None, "^gamma must be finite and exceed 1, got 0.0"),
+        (np.nan, None, "^gamma must be finite and exceed 1, got nan"),
+        (-2.0, None, "^gamma must be finite and exceed 1, got -2.0"),
+        (1.0, None, "^gamma must be finite and exceed 1, got 1.0"),
+        (np.inf, None, "^gamma must be finite and exceed 1, got inf"),
+        (10.0, np.nan, "^min_separation must be non-negative, got nan"),
+        (10.0, -1.0, "^min_separation must be non-negative, got -1.0"),
+    ])
+    def test_rejects_bad_argument_before_drawing(self, gamma, sep, message):
+        rng = np.random.default_rng(4)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            gen_random_spectrum(3, gamma, rng, min_separation=sep)
+        assert rng.bit_generator.state == state
+
     def test_gives_up_after_bounded_redraws(self):
         # ten frequencies fit in the band only when nearly evenly spaced
         sep = 0.999 * (2 * np.pi / 10.0) / 9
@@ -202,6 +218,17 @@ class TestBandlimited:
             bandlimited_bins(n, gamma)
         with pytest.raises(ValueError, match=message):
             gen_bandlimited(n, gamma, np.random.default_rng(9))
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, np.nan, -2.0])
+    def test_rejects_bad_gamma_before_drawing(self, gamma):
+        message = f"^gamma must be finite and exceed 1, got {gamma!r}"
+        with pytest.raises(ValueError, match=message):
+            bandlimited_bins(200, gamma)
+        rng = np.random.default_rng(9)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match=message):
+            gen_bandlimited(200, gamma, rng)
+        assert rng.bit_generator.state == state
 
     def test_seeded_reproducibility(self):
         a = gen_bandlimited(64, 8.0, np.random.default_rng(9))
