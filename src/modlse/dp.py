@@ -8,22 +8,27 @@ alphabet ``{a + jb : |a|, |b| <= V}``.  The sweep returns a global minimizer of
 the *banded* objective; the brute-force enumerator certifies that on
 test-scale instances.
 
-State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``) with
-the leading variable most significant.  Each forward stage eliminates one
-variable: it broadcasts the previous value table against the stage's coupling
-and linear terms into a ``(B, B^p)`` buffer (eliminated state by key of the
-next ``p`` states) and takes the column minima as the next value table.  ``p``
+State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``):
+digit ``t`` of a key of ``values[k]`` is the state of variable ``k + t``, so
+the variable that stage ``k`` eliminates is the least significant digit.  Each
+forward stage adds the variable's linear row to the ``B^p`` entries of the
+previous value table, into a ``(B, B^(p-1))`` buffer (eliminated state by the
+states of the next ``p - 1`` variables); broadcasts that against the stage's
+coupling term into a ``(B, B^p)`` buffer (eliminated state by key of the next
+``p`` states); and takes the column minima as the next value table.  ``p``
 padding variables follow the last one, held at state 0, which adds nothing to
 any stage term; so every variable has one stage of the same shape, and the
 last value table at the all-padding key (every digit the index of state 0) is
 the minimum.  Every stage's value table is kept, ``(n_vars + 1) * B^p``
 float64 entries (26.9 MB at ``n_vars = 511``, ``p = 4``, ``V = 1``); no argmin
 is stored.  The backward pass starts at the all-padding key and re-evaluates
-the one column of each stage that the states chosen after it select, with the
-forward pass's arithmetic in the same order, and takes its first minimizing
-state.  Ties therefore go to the smallest state index (:func:`state_alphabet`
-order) of the last variable, then of the one before it, and so on.  The
-``(B, B^p)`` buffer is reused from stage to stage.
+the one column of each stage that the states chosen after it select: the
+``B`` contiguous entries ``r*B .. r*B + B - 1`` of the kept table, where ``r``
+holds the next ``p - 1`` states, with the forward pass's arithmetic in the
+same order.  It takes the first minimizing state ``s`` and moves on to key
+``r*B + s``.  Ties therefore go to the smallest state index
+(:func:`state_alphabet` order) of the last variable, then of the one before
+it, and so on.  Both buffers are reused from stage to stage.
 """
 
 from __future__ import annotations
@@ -110,10 +115,13 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     states with ``|Re|, |Im| <= v_bound``.
 
     Runs one forward stage per variable over value tables keyed by
-    ``p``-tuples of states, with ``p`` padding variables held at state 0 after
+    ``p``-tuples of states (the variable a stage eliminates is the least
+    significant digit), with ``p`` padding variables held at state 0 after
     the last one, keeping each stage's value table (``(n_vars + 1) * B^p``
-    float64 entries in all), and backtracks from the all-padding key by
-    re-evaluating one stage column per variable against the kept values.  Of
+    float64 entries in all).  It then backtracks from the all-padding key:
+    for each variable, last first, it re-evaluates one stage column against
+    the kept values, picks state ``s`` and moves to key ``r*B + s``, where
+    ``r`` is the current key's ``p - 1`` low digits.  Of
     several exact minimizers it returns the one whose last variable has the
     smallest :func:`state_alphabet` index, then the one before it, and so
     on.  Re-centering passes an instance re-observed around the current
@@ -128,50 +136,59 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
         raise ValueError(f"non-finite linear term at index {bad[0]}")
     check_dp_budget(p, v_bound)
     if m <= p + 1:
-        raise ValueError("instance too short for this band order")
+        raise ValueError(f"instance too short: n_vars={m} needs "
+                         f"n_vars >= p + 2 at p={p}")
     states = state_alphabet(v_bound)
     bsz = states.size
 
     band = inst.gram_band(p)
 
     # Per-key digit tables: digit t of key is the state index of variable
-    # k+1+t relative to stage k (leading digit most significant).
+    # k+1+t relative to stage k (least significant digit first).
     keys = np.arange(bsz ** p)
     coupled = np.zeros(bsz ** p, dtype=complex)
     for t in range(p):
-        digit = (keys // bsz ** (p - 1 - t)) % bsz
+        digit = (keys // bsz ** t) % bsz
         coupled += band[t + 1] * states[digit]
     cross = 2.0 * np.real(np.conj(states)[:, None] * coupled[None, :])
     base_quad = float(band[0].real) * np.abs(states) ** 2
     # lin[i, s]: diagonal plus linear term of variable i in state s.
     lin = base_quad[None, :] + 2.0 * np.real(np.conj(states)[None, :] * b[:, None])
 
-    # Stage k: stage[s, key] = (values[k, s * B^(p-1) + key // B] + cross[s, key])
-    # + lin[k, s], where s is the state of variable k and values[k] is keyed
-    # by the states of variables k..k+p-1.  Its column minima are values[k+1].
-    # Variables m..m+p-1 are padding: only keys whose padding digits are the
-    # index of state 0 are ever read, and there they add nothing to cross.
+    # Stage k: stage[s, key] = (values[k, (key % B^(p-1)) * B + s] + lin[k, s])
+    # + cross[s, key], where s is the state of variable k and values[k] is
+    # keyed by the states of variables k..k+p-1.  Its column minima are
+    # values[k+1].  Variables m..m+p-1 are padding: only keys whose padding
+    # digits are the index of state 0 are ever read, and there they add
+    # nothing to cross.
+    rest = bsz ** (p - 1)
     values = np.empty((m + 1, bsz ** p))
     values[0] = 0.0
+    tmp = np.empty((bsz, rest))
     stage = np.empty((bsz, bsz ** p))
-    cross3 = cross.reshape(bsz, bsz ** (p - 1), bsz)
+    cross3 = cross.reshape(bsz, bsz, rest)
     stage3 = stage.reshape(cross3.shape)
     for k in range(m):
-        np.add(values[k].reshape(bsz, bsz ** (p - 1), 1), cross3, out=stage3)
-        stage += lin[k][:, None]
+        np.add(values[k].reshape(rest, bsz).T, lin[k][:, None], out=tmp)
+        np.add(tmp[:, None, :], cross3, out=stage3)
         np.minimum.reduce(stage, axis=0, out=values[k + 1])
 
     # Backtrack from the all-padding key (every digit bsz // 2, the index of
     # state 0): re-evaluate the one stage column the next states select, in
     # the forward pass's order of operations, so argmin finds the same first
     # minimizing state.
+    cross_t = np.ascontiguousarray(cross.T)
+    col = np.empty(bsz)
     key = bsz // 2 * (bsz ** p - 1) // (bsz - 1)
-    eps = np.empty(m, dtype=complex)
+    idx = np.empty(m, dtype=np.intp)
     for k in range(m - 1, -1, -1):
-        s = int(np.argmin((values[k, key // bsz::bsz ** (p - 1)] + cross[:, key])
-                          + lin[k]))
-        eps[k] = states[s]
-        key = s * bsz ** (p - 1) + key // bsz
+        r = key % rest
+        np.add(values[k, r * bsz:(r + 1) * bsz], lin[k], out=col)
+        col += cross_t[key]
+        s = int(col.argmin())
+        idx[k] = s
+        key = r * bsz + s
+    eps = states[idx]
 
     if return_stats:
         stats = DpStats(n_stages=m, state_count=bsz,

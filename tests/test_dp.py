@@ -85,6 +85,13 @@ class TestDecomposition:
             with pytest.raises(ValueError, match="instance too short"):
                 dp_solve(inst, p, 1)
 
+    @pytest.mark.parametrize("p", [1, 4])
+    def test_short_instance_error_names_sizes(self, p):
+        inst = random_instance(p + 2, np.random.default_rng(69))
+        with pytest.raises(ValueError, match=rf"^instance too short: n_vars={p + 1} "
+                                             rf"needs n_vars >= p \+ 2 at p={p}$"):
+            dp_solve(inst, p, 1)
+
 
 def exhaustive_minimum(inst, p, v, banded=True):
     """Independent oracle: explicit loop over every candidate tuple."""
@@ -211,10 +218,12 @@ class TestDpSolve:
 def reference_dp_solve(inst, p, v):
     """Test-only oracle: the gather + ``argmin(axis=0)`` forward pass.
 
-    Gathers each stage's predecessor values through an explicit key table
-    and recovers the next value table with ``take_along_axis``, so it shares
-    with :func:`dp_solve` only the stage arithmetic, not the reductions or
-    the tie-break.  Returns ``(eps, DpStats)``.
+    Keys its tables with the leading variable most significant, gathers each
+    stage's predecessor values through an explicit key table and recovers the
+    next value table with ``take_along_axis``, so it shares with
+    :func:`dp_solve` only the stage arithmetic, ``(value + linear row) +
+    coupling`` for every candidate, not the key layout, the reductions or the
+    tie-break.  Returns ``(eps, DpStats)``.
     """
     m, b = inst.n_vars, inst.b
     states = state_alphabet(v)
@@ -235,8 +244,9 @@ def reference_dp_solve(inst, p, v):
     argmins = np.empty((m, bsz ** p), dtype=np.min_scalar_type(bsz - 1))
     evaluated = 0
     for k in range(m):
-        stage = value[prev_key] + cross \
-            + (base_quad + 2.0 * np.real(np.conj(states) * b[k]))[:, None]
+        stage = (value[prev_key]
+                 + (base_quad + 2.0 * np.real(np.conj(states) * b[k]))[:, None]) \
+            + cross
         argmins[k] = np.argmin(stage, axis=0)
         value = np.take_along_axis(stage, argmins[k][None, :].astype(np.intp),
                                    axis=0)[0]
@@ -298,6 +308,18 @@ class TestMatchesReferenceSolver:
             assert_matches_reference(
                 with_band(dataclasses.replace(inst, b=b), dyadic[:p + 1]), p, 1)
 
+    def test_rounded_sums_keep_the_forward_order(self):
+        # linear terms near 2^51, where a float64 ulp is 0.5 and each stage
+        # sum rounds: the backtrack finds the forward pass's minimizers only
+        # if it adds the same terms in the same order
+        rng = np.random.default_rng(76)
+        for p in (1, 2, 3):
+            for _ in range(10):
+                inst = random_instance(p + 5, rng)
+                m = inst.n_vars
+                b = 2.0 ** 51 + rng.normal(size=m) + 1j * rng.normal(size=m)
+                assert_matches_reference(dataclasses.replace(inst, b=b), p, 1)
+
     @pytest.mark.parametrize("p,v", [(1, 1), (2, 1), (3, 1), (4, 1), (2, 2)])
     def test_all_tied_tables_pick_smallest_index(self, p, v):
         # with no coupling and a real linear term every stage column ties
@@ -333,7 +355,7 @@ class TestMatchesReferenceSolver:
         assert stats.candidates_evaluated == inst.n_vars * (2 * v + 1) ** (2 * (p + 1))
         assert_matches_reference(inst, p, v)
 
-    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4])
     @pytest.mark.parametrize("extra", [2, 3])
     def test_shortest_instances(self, p, extra):
         # n_vars = p + 2: one forward stage and one backtrack step;
@@ -348,16 +370,17 @@ class TestMatchesReferenceSolver:
 
     def test_reference_scenes(self):
         # n=512, k=3, p=3: the scene of the paper's reference experiment,
-        # solved on the instance term and on a re-centred one
+        # solved on the instance term and on a re-centred one; a fourth scene
+        # at p=4, the widest table in use
         rng = np.random.default_rng(74)
         bins = select_subset(512, 10.0, 0.04)
-        for _ in range(3):
+        for p in (3, 3, 3, 4):
             spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
             g = add_noise(synth_line_spectral(spec, 512), 30.0, rng)
             inst = build_instance(modulo_sample(g, 0.7), 0.7, bins)
-            eps = assert_matches_reference(inst, 3, 1)
+            eps = assert_matches_reference(inst, p, 1)
             assert_matches_reference(
-                inst.with_observation(inst.z_s + inst.forward(eps)), 3, 1)
+                inst.with_observation(inst.z_s + inst.forward(eps)), p, 1)
 
 
 class TestBruteForce:
