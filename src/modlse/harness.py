@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -222,6 +221,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
             for point_index, value in enumerate(grid)
             for t in range(cfg.trials)]
     if cfg.parallelism > 1:
+        # imported here so that importing modlse does not load the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
             rows = list(pool.map(_run_point_trial, jobs))
     else:

@@ -2,8 +2,8 @@
 
 When the banded solve is nearly right, the remaining error is a sparse
 Gaussian-integer vector, so it can be chased greedily: pick the dictionary
-column most correlated with the current residual, least-squares fit the
-selected support, round the fit back onto the lattice, and keep the update
+column most correlated with the current residual, refit the selected support
+on its Gram block, round the fit back onto the lattice, and keep the update
 only while the true (un-truncated) objective keeps dropping.  Columns of the
 selected-row DFT all share one norm, so raw inner products rank correlations
 correctly.  :func:`accept_if_improves` applies the same strict-decrease guard
@@ -22,11 +22,11 @@ __all__ = ["omp_refine", "accept_if_improves"]
 def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
     """Greedy integer correction ``delta`` reducing ``|z_s + F_s (eps_hat+delta)|^2``.
 
-    Support coefficients are re-fit and re-rounded after every selection, and
-    the internal residual always reflects the rounded values.  Stops after
-    ``ceil(|S|/4)`` selections or as soon as a rounded update fails to
-    decrease the objective.  Returns the all-zero vector when no improving
-    atom exists.
+    Each selection re-fits the support on its Gram block against ``-F_s^H r0``
+    (``r0`` the residual of ``eps_hat``) and scores the rounded update as
+    ``r0 + F_s delta``.  Stops after ``ceil(|S|/4)`` selections, at a singular
+    Gram block, or at the first update with no strict decrease (a repeated
+    update stops unscored).  Returns zero when no improving atom exists.
     """
     eps_hat = np.asarray(eps_hat, dtype=complex)
     if eps_hat.size != inst.n_vars:
@@ -34,30 +34,30 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
     base = inst.z_s + inst.forward(eps_hat)
     best_obj = float(np.linalg.norm(base) ** 2)
     best_delta = np.zeros(inst.n_vars, dtype=complex)
-    residual = base
+    rhs = -inst.adjoint(base)
+    corr = np.abs(rhs)
     support: list[int] = []
-    columns = np.zeros((inst.bins.size, 0), dtype=complex)
 
     for _ in range(int(np.ceil(inst.bins.size / 4))):
-        corr = np.abs(inst.adjoint(residual))
-        if support:
-            corr[support] = -1.0
+        corr[support] = -1.0
         j = int(np.argmax(corr))
         if corr[j] <= 0.0:
             break
         support.append(j)
-        columns = np.hstack([columns, inst.column(j)[:, None]])
-        fit, *_ = np.linalg.lstsq(columns, -base, rcond=None)
-        rounded = np.round(fit.real) + 1j * np.round(fit.imag)
-        candidate_resid = base + columns @ rounded
-        obj = float(np.linalg.norm(candidate_resid) ** 2)
-        if obj < best_obj:
-            best_obj = obj
-            best_delta = np.zeros(inst.n_vars, dtype=complex)
-            best_delta[support] = rounded
-            residual = candidate_resid
-        else:
+        try:
+            fit = np.linalg.solve(inst.gram(support), rhs[support])
+        except np.linalg.LinAlgError:  # the new column is in the span
             break
+        delta = np.zeros(inst.n_vars, dtype=complex)
+        delta[support] = np.round(fit.real) + 1j * np.round(fit.imag)
+        if np.array_equal(delta, best_delta):  # would score the same
+            break
+        residual = base + inst.forward(delta)
+        obj = float(np.linalg.norm(residual) ** 2)
+        if not obj < best_obj:
+            break
+        best_obj, best_delta = obj, delta
+        corr = np.abs(inst.adjoint(residual))
     return best_delta
 
 

@@ -111,7 +111,8 @@ class QuadraticInstance:
     the linear term, and ``eps`` ranges over Gaussian-integer sequences of
     length ``n_vars``.  The Gram matrix ``Q = F_s^H F_s`` is Hermitian
     Toeplitz, so a banded solver needs only its offsets ``0..p``
-    (:meth:`gram_band`); dense copies are for tests and diagnostics.
+    (:meth:`gram_band`) and a greedy refit only the block of its support
+    (:meth:`gram`); dense copies are for tests and diagnostics.
     """
 
     bins: np.ndarray = field(repr=False)
@@ -129,22 +130,19 @@ class QuadraticInstance:
         full[self.bins] = u
         return np.fft.ifft(full) * np.sqrt(self.n_vars)
 
-    def column(self, j: int) -> np.ndarray:
-        """Explicit ``j``-th column of ``F_s`` (all columns share one norm)."""
-        return np.exp(-2j * np.pi * self.bins * j / self.n_vars) \
-            / np.sqrt(self.n_vars)
-
     def gram_band(self, p: int) -> np.ndarray:
         """Offsets ``Q[i, i+d]`` for ``d = 0..p``, from one FFT."""
         return _gram_offsets(self.bins, self.n_vars)[:p + 1]
 
+    def gram(self, idx) -> np.ndarray:
+        """Block ``Q[idx][:, idx]``, indices in any order, gathered from one FFT."""
+        d = np.subtract.outer(idx, idx)
+        out = _gram_offsets(self.bins, self.n_vars)[np.abs(d)]
+        return np.where(d > 0, np.conj(out), out)
+
     def q_dense(self) -> np.ndarray:
         """Dense Hermitian Toeplitz ``Q``; test-scale use only."""
-        m = self.n_vars
-        q = _gram_offsets(self.bins, m)
-        idx = np.subtract.outer(np.arange(m), np.arange(m))
-        out = q[np.abs(idx)]
-        return np.where(idx > 0, np.conj(out), out)
+        return self.gram(np.arange(self.n_vars))
 
     def q_banded_dense(self, p: int) -> np.ndarray:
         """Dense band-truncated ``Q`` (entries beyond offset ``p`` zeroed)."""

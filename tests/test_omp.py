@@ -1,24 +1,60 @@
 import numpy as np
 import pytest
 
+import modlse.pipeline as pipeline
 from modlse import (
+    PipelineConfig,
+    QuadraticInstance,
     accept_if_improves,
+    add_noise,
     build_instance,
     exact_objective,
+    gen_random_spectrum,
+    modulo_sample,
     omp_refine,
+    recover_residual,
+    synth_line_spectral,
 )
 
 
-def planted_instance(rng, n=64, subset_size=45, noise=1e-3):
+def planted_instance(rng, n=64, subset_size=45, noise=1e-3, bins=None):
     """Instance whose exact minimizer is a known small lattice vector."""
     m = n - 1
-    bins = np.sort(rng.choice(np.arange(m), size=subset_size, replace=False))
+    if bins is None:
+        bins = np.sort(rng.choice(np.arange(m), size=subset_size, replace=False))
     y = rng.normal(size=n) + 1j * rng.normal(size=n)
     inst = build_instance(y, 0.5, bins)
     eps_true = (rng.integers(-1, 2, m) + 1j * rng.integers(-1, 2, m)).astype(complex)
     z = -inst.forward(eps_true)
-    z = z + noise * (rng.normal(size=subset_size) + 1j * rng.normal(size=subset_size))
+    z = z + noise * (rng.normal(size=bins.size) + 1j * rng.normal(size=bins.size))
     return inst.with_observation(z), eps_true
+
+
+def reference_refine(inst, eps_hat):
+    """Dense oracle of :func:`omp_refine`: normal equations on ``q_dense()``.
+
+    Stops at the cap or on the first rounded update with no strict decrease.
+    """
+    m = inst.n_vars
+    fs = np.exp(-2j * np.pi * np.outer(inst.bins, np.arange(m)) / m) / np.sqrt(m)
+    q = inst.q_dense()
+    base = inst.z_s + fs @ eps_hat
+    rhs = -(fs.conj().T @ base)
+    best_obj = np.vdot(base, base).real
+    best_delta, residual, support = np.zeros(m, dtype=complex), base, []
+    for _ in range(int(np.ceil(inst.bins.size / 4))):
+        corr = np.abs(fs.conj().T @ residual)
+        corr[support] = -1.0
+        support.append(int(np.argmax(corr)))
+        fit = np.linalg.solve(q[np.ix_(support, support)], rhs[support])
+        delta = np.zeros(m, dtype=complex)
+        delta[support] = np.round(fit.real) + 1j * np.round(fit.imag)
+        candidate = base + fs @ delta
+        obj = np.vdot(candidate, candidate).real
+        if not obj < best_obj:
+            break
+        best_obj, best_delta, residual = obj, delta, candidate
+    return best_delta
 
 
 class TestOmpRefine:
@@ -87,6 +123,55 @@ class TestOmpRefine:
         delta = omp_refine(inst, start)
         assert np.count_nonzero(delta) == cap
         assert np.count_nonzero(omp_refine(inst, start + delta)) > 0
+
+    def test_repeated_update_stops_the_pass(self, monkeypatch):
+        # trial 4 of the 14 dB point of a (30, 14) dB snr_sweep at seed
+        # 20240601 (dp_omp_iter, n=512, gamma=10, lam=0.7, k=3): in the first
+        # pass a refit at support size 4 rounds to the update already kept
+        # (the new coefficient rounds to 0); a column product summed in
+        # another order scores it 7e-15 lower, which is no decrease, so the
+        # pass must stop there with 3 nonzero corrections
+        rng = np.random.default_rng(np.random.SeedSequence((20240601, 1, 4)))
+        spec = gen_random_spectrum(3, 10.0, rng, min_separation=2 * np.pi / 512)
+        g = add_noise(synth_line_spectral(spec, 512), 14.0, rng)
+        calls = []
+
+        def recorded(inst, eps_hat):
+            calls.append((inst, eps_hat))
+            return omp_refine(inst, eps_hat)
+
+        monkeypatch.setattr(pipeline, "omp_refine", recorded)
+        recover_residual(modulo_sample(g, 0.7), PipelineConfig(p=3, beta=0.04),
+                         0.7, 10.0, "dp_omp_iter")
+        assert len(calls) == 2
+        for inst, eps_hat in calls:
+            np.testing.assert_array_equal(omp_refine(inst, eps_hat),
+                                          reference_refine(inst, eps_hat))
+        assert np.count_nonzero(omp_refine(*calls[0])) == 3
+
+    def test_singular_gram_block_stops_the_pass(self, monkeypatch):
+        # every even bin of a 32-point domain: columns j and j + 16 coincide
+        # on the rows, so a support holding both has a singular Gram block
+        blocks = []
+        gram = QuadraticInstance.gram
+
+        def recorded(inst, idx):
+            blocks.append(gram(inst, idx))
+            return blocks[-1]
+
+        monkeypatch.setattr(QuadraticInstance, "gram", recorded)
+        rng = np.random.default_rng(80)
+        for _ in range(200):
+            inst, eps_true = planted_instance(rng, n=33, noise=0.1,
+                                              bins=np.arange(0, 31, 2))
+            start = eps_true.copy()
+            start[rng.integers(0, inst.n_vars)] += 1.0
+            delta = omp_refine(inst, start)
+            np.testing.assert_array_equal(delta, np.round(delta.real)
+                                          + 1j * np.round(delta.imag))
+            assert exact_objective(inst, start + delta) <= exact_objective(inst, start)
+        singular = sum(np.linalg.matrix_rank(b) < b.shape[0] for b in blocks)
+        assert singular > 0
 
     def test_rejects_length_mismatch(self):
         rng = np.random.default_rng(76)

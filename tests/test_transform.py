@@ -215,11 +215,14 @@ class TestBuildInstance:
         np.testing.assert_allclose(inst.forward(v), fs @ v, atol=1e-12)
         np.testing.assert_allclose(inst.adjoint(u), fs.conj().T @ u, atol=1e-12)
 
-    def test_columns_share_norm(self):
+    def test_gram_block_in_selection_order(self):
+        # a greedy support is kept in selection order, not sorted
         inst, _ = make_instance()
-        norms = [np.linalg.norm(inst.column(j)) for j in range(inst.n_vars)]
-        np.testing.assert_allclose(norms, np.sqrt(inst.bins.size / inst.n_vars),
-                                   atol=1e-12)
+        idx = np.array([7, 2, 11, 0, 5, 3])
+        np.testing.assert_array_equal(inst.gram(idx),
+                                      inst.q_dense()[np.ix_(idx, idx)])
+        fs = dense_fs(inst)[:, idx]
+        np.testing.assert_allclose(inst.gram(idx), fs.conj().T @ fs, atol=1e-12)
 
     @pytest.mark.parametrize("bins,problem", [
         # three bins from 5 to 7 would pass for the block 5..7 in the Gram
