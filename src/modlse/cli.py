@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .harness import (
+    SCENARIOS,
     ExperimentConfig,
     read_iq_csv,
     run_sweep,
@@ -88,17 +89,19 @@ def parse_config_file(path) -> dict:
 
 
 def build_experiment_config(entries: dict) -> ExperimentConfig:
-    """Set each entry's dataclass field; unset fields keep their defaults."""
-    # A config file that lists snr_grid but omits scenario must still run its
-    # grid, so the CLI's scenario is snr_sweep, not the library's single_trial.
-    entries = {"scenario": "snr_sweep", **entries}
+    """Set each entry's dataclass field; unset fields keep their defaults,
+    and an entry for a field the scenario sets itself is an error."""
     fields: dict = {"experiment": {}, "sampling": {}, "pipeline": {}}
     for key, value in entries.items():
         section, name, _ = CONFIG_KEYS[key]
         fields[section][name] = value
-    return ExperimentConfig(sampling=SamplingConfig(**fields["sampling"]),
-                            pipeline=PipelineConfig(**fields["pipeline"]),
-                            **fields["experiment"])
+    cfg = ExperimentConfig(sampling=SamplingConfig(**fields["sampling"]),
+                           pipeline=PipelineConfig(**fields["pipeline"]),
+                           **fields["experiment"])
+    for key in entries:
+        if CONFIG_KEYS[key][:2] in SCENARIOS[cfg.scenario][1:]:
+            raise ValueError(f"scenario {cfg.scenario!r} sets {key} itself")
+    return cfg
 
 
 FLAGS = {

@@ -35,7 +35,7 @@ from .signals import (
     residual_decompose,
     synth_line_spectral,
 )
-from .transform import select_subset
+from .transform import select_subset, select_subset_tail
 
 __all__ = [
     "ExperimentConfig",
@@ -50,20 +50,24 @@ __all__ = [
 ]
 
 SCENARIOS = {
-    # scenario: (swept axis, grid field; None runs one point at sampling.snr_db)
-    "single_trial": ("snr_db", None),
-    "beta_sweep": ("beta", "beta_grid"),
-    "snr_sweep": ("snr_db", "snr_grid"),
-    "bandlimited_sweep": ("snr_db", "snr_grid"),
+    # scenario: (grid field, then each (config section, field) the scenario
+    # sets itself: each grid value sets the first, bandlimited_sweep's band k)
+    "snr_sweep": ("snr_grid", ("sampling", "snr_db")),
+    "bandlimited_sweep": ("snr_grid", ("sampling", "snr_db"), ("sampling", "k")),
+    "beta_sweep": ("beta_grid", ("pipeline", "beta")),
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment run; a config that no trial
-    could run is rejected before any trial runs."""
+    could run is rejected before any trial runs.
 
-    scenario: str = "single_trial"
+    Each value of the scenario's grid sets one field of its point's config,
+    and ``bandlimited_sweep`` takes the model order ``k`` from its band;
+    :data:`SCENARIOS` lists the fields each scenario sets itself."""
+
+    scenario: str = "snr_sweep"
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     method: str = "dp_omp_iter"
@@ -76,7 +80,7 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}")
-        swept = SCENARIOS[self.scenario][1]
+        swept = SCENARIOS[self.scenario][0]
         for grid in ("snr_grid", "beta_grid"):
             if grid != swept and getattr(self, grid):
                 raise ValueError(f"scenario {self.scenario!r} does not read {grid}")
@@ -100,6 +104,8 @@ class ExperimentConfig:
         elif self.scenario == "beta_sweep":
             raise ValueError(f"scenario 'beta_sweep' sweeps beta, which method "
                              f"{self.method!r} never reads")
+        elif METHODS[self.method].omp:
+            select_subset_tail(self.sampling.n, self.sampling.gamma)
 
 
 @dataclass(frozen=True)
@@ -189,26 +195,6 @@ class SweepPoint:
     results: list[TrialResult] = field(repr=False)
 
 
-def _sweep_axis(cfg: ExperimentConfig) -> tuple[str, tuple[float, ...]]:
-    axis, grid = SCENARIOS[cfg.scenario]
-    if grid is None:
-        return axis, (cfg.sampling.snr_db,)
-    if not getattr(cfg, grid):
-        raise ValueError(f"{cfg.scenario} requires a non-empty {grid}")
-    return axis, getattr(cfg, grid)
-
-
-def _point_config(cfg: ExperimentConfig, axis: str, value: float) -> ExperimentConfig:
-    if axis == "beta":
-        return replace(cfg, pipeline=replace(cfg.pipeline, beta=value))
-    return replace(cfg, sampling=replace(cfg.sampling, snr_db=value))
-
-
-def _run_point_trial(args) -> TrialResult:
-    cfg, point_index, trial_index = args
-    return run_trial(cfg, trial_index, point_index)
-
-
 def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Run every grid point of the configured sweep.
 
@@ -216,17 +202,25 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     aggregate is identical whatever ``parallelism`` is in force.  Every
     (point, trial) job goes to one pool per call.
     """
-    axis, grid = _sweep_axis(cfg)
-    jobs = [(_point_config(cfg, axis, float(value)), point_index, t)
-            for point_index, value in enumerate(grid)
+    grid_field, (section, axis) = SCENARIOS[cfg.scenario][:2]
+    grid = getattr(cfg, grid_field)
+    if not grid:
+        raise ValueError(f"{cfg.scenario} requires a non-empty {grid_field}")
+    # one config a point, its swept field set to the point's value
+    configs = [replace(cfg, **{section: replace(getattr(cfg, section),
+                                                **{axis: float(value)})})
+               for value in grid]
+    # run_trial's arguments (config, trial, point), one job a trial
+    jobs = [(point_cfg, t, point_index)
+            for point_index, point_cfg in enumerate(configs)
             for t in range(cfg.trials)]
     if cfg.parallelism > 1:
         # imported here so that importing modlse does not load the pool
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
-            rows = list(pool.map(_run_point_trial, jobs))
+            rows = list(pool.map(run_trial, *zip(*jobs)))
     else:
-        rows = [_run_point_trial(j) for j in jobs]
+        rows = [run_trial(*job) for job in jobs]
     points: list[SweepPoint] = []
     for point_index, value in enumerate(grid):
         results = rows[point_index * cfg.trials:(point_index + 1) * cfg.trials]

@@ -38,10 +38,9 @@ class TestConfigFile:
         assert built.trials == 5
 
     def test_unset_keys_keep_dataclass_defaults(self):
-        # the CLI's one default of its own: scenario snr_sweep
-        assert build_experiment_config({}) == ExperimentConfig(scenario="snr_sweep")
-        built = build_experiment_config({"lambda": 0.5, "v": 2, "snr_db": 20.0})
-        assert built.sampling == SamplingConfig(lam=0.5, snr_db=20.0)
+        assert build_experiment_config({}) == ExperimentConfig()
+        built = build_experiment_config({"lambda": 0.5, "v": 2, "k": 2})
+        assert built.sampling == SamplingConfig(lam=0.5, k=2)
         assert built.pipeline == PipelineConfig(v_bound=2)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -145,6 +144,53 @@ class TestCliCommands:
         assert err == ("modlse experiment: error: scenario 'snr_sweep' does not "
                        "read beta_grid\n")
         assert not (tmp_path / "x_trials.csv").exists()
+
+    def test_experiment_unknown_scenario_is_one_line_error(self, tmp_path,
+                                                            capsys):
+        # a one-point snr_sweep runs what single_trial ran
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = single_trial\n")
+        assert main(["experiment", "--config", str(cfg),
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == ("modlse experiment: error: unknown "
+                                           "scenario 'single_trial'\n")
+        assert not (tmp_path / "x_trials.csv").exists()
+
+    @pytest.mark.parametrize("scenario,lines,flags,key", [
+        ("snr_sweep", "snr_grid = 30", ["--snr", "5"], "snr_db"),
+        ("snr_sweep", "snr_grid = 30\nsnr_db = 5", [], "snr_db"),
+        ("bandlimited_sweep", "snr_grid = 30", ["--snr", "5"], "snr_db"),
+        ("bandlimited_sweep", "snr_grid = 30\nsnr_db = 5", [], "snr_db"),
+        ("bandlimited_sweep", "snr_grid = 30\nk = 5", [], "k"),
+        ("beta_sweep", "beta_grid = 0.05", ["--beta", "0.1"], "beta"),
+        ("beta_sweep", "beta_grid = 0.05\nbeta = 0.1", [], "beta"),
+    ])
+    def test_experiment_key_the_scenario_sets_is_one_line_error(
+            self, scenario, lines, flags, key, tmp_path, capsys):
+        # the scenario would overwrite the value, so it is an error
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"scenario = {scenario}\nn = 128\nlambda = 0.5\n"
+                       f"trials = 1\np = 2\n{lines}\n")
+        assert main(["experiment", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "x")]) == 2
+        assert capsys.readouterr().err == (
+            f"modlse experiment: error: scenario '{scenario}' sets {key} itself\n")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("lines,flags,column,value", [
+        ("scenario = beta_sweep\nbeta_grid = 0.05", ["--snr", "5"], "snr_db", "5"),
+        ("scenario = snr_sweep\nsnr_grid = 30", ["--beta", "0.1"], "beta", "0.1"),
+    ])
+    def test_experiment_key_the_scenario_reads_runs(self, lines, flags, column,
+                                                    value, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(f"n = 128\nk = 2\nlambda = 0.5\ntrials = 2\np = 2\n"
+                       f"{lines}\n")
+        assert main(["experiment", "--config", str(cfg), *flags,
+                     "--out", str(tmp_path / "x")]) == 0
+        header, *rows = (tmp_path / "x_trials.csv").read_text().splitlines()
+        at = header.split(",").index(column)
+        assert [row.split(",")[at] for row in rows] == [value, value]
 
     def test_experiment_over_budget_is_one_line_error(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

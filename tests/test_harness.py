@@ -22,7 +22,7 @@ from modlse import (
 def small_config(**overrides):
     samp = SamplingConfig(n=128, gamma=10.0, lam=0.5, k=2, snr_db=30.0, seed=42)
     pipe = PipelineConfig(p=2, beta=0.05)
-    base = dict(scenario="single_trial", sampling=samp, pipeline=pipe,
+    base = dict(scenario="snr_sweep", sampling=samp, pipeline=pipe,
                 method="dp_omp_iter", trials=3)
     base.update(overrides)
     return ExperimentConfig(**base)
@@ -127,8 +127,7 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("scenario,grid", [
         ("snr_sweep", "beta_grid"), ("bandlimited_sweep", "beta_grid"),
-        ("single_trial", "beta_grid"), ("beta_sweep", "snr_grid"),
-        ("single_trial", "snr_grid"),
+        ("beta_sweep", "snr_grid"),
     ])
     def test_unread_grid_rejected(self, scenario, grid):
         # a grid the scenario does not sweep would be parsed and then ignored
@@ -213,6 +212,16 @@ class TestRunSweep:
             small_config(scenario="beta_sweep", beta_grid=(0.03, 0.08),
                          method=method)
 
+    def test_greedy_method_without_a_tail_band_rejected(self):
+        # every omp_only trial would fail on the empty tail band
+        sampling = SamplingConfig(n=8, gamma=1.05, k=1)
+        with pytest.raises(ValueError, match="^no guard band"):
+            ExperimentConfig(scenario="snr_sweep", method="omp_only",
+                             sampling=sampling, snr_grid=(30.0,), parallelism=2)
+        # usalg selects no band
+        ExperimentConfig(scenario="snr_sweep", method="usalg",
+                         sampling=sampling, snr_grid=(30.0,))
+
     @pytest.mark.parametrize("overrides", [
         dict(pipeline=PipelineConfig(p=2, beta=0.9)),
         dict(scenario="beta_sweep", beta_grid=(0.03, 0.06, 0.9)),
@@ -238,6 +247,29 @@ class TestRunSweep:
             for a, b in zip(point_s.results, point_p.results):
                 assert dataclasses.replace(a, runtime_s=0.0) == \
                     dataclasses.replace(b, runtime_s=0.0)
+
+    @pytest.mark.parametrize("parallelism", [1, 2])
+    @pytest.mark.parametrize("scenario,grid", [
+        ("snr_sweep", dict(snr_grid=(25.0, 10.0))),
+        ("bandlimited_sweep", dict(snr_grid=(25.0, 10.0))),
+        ("beta_sweep", dict(beta_grid=(0.03, 0.08))),
+    ])
+    def test_rows_are_trials_of_their_point_config(self, scenario, grid,
+                                                   parallelism):
+        # however the sweep shares configs among its trials, each row is the
+        # trial of a config whose swept field holds the point's value
+        cfg = small_config(scenario=scenario, trials=2, parallelism=parallelism,
+                           **grid)
+        for point_index, point in enumerate(run_sweep(cfg)):
+            if scenario == "beta_sweep":
+                point_cfg = dataclasses.replace(cfg, pipeline=dataclasses.replace(
+                    cfg.pipeline, beta=point.value))
+            else:
+                point_cfg = dataclasses.replace(cfg, sampling=dataclasses.replace(
+                    cfg.sampling, snr_db=point.value))
+            assert [dataclasses.replace(r, runtime_s=0.0) for r in point.results] \
+                == [dataclasses.replace(run_trial(point_cfg, t, point_index),
+                                        runtime_s=0.0) for t in range(2)]
 
     def test_beta_sweep_routing(self):
         cfg = small_config(scenario="beta_sweep", beta_grid=(0.03, 0.08),
