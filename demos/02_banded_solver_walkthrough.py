@@ -24,7 +24,7 @@ from modlse import (
     gen_random_spectrum,
     modulo_sample,
     omp_refine,
-    recover_residual,
+    recover_line_spectrum,
     select_subset,
     synth_line_spectral,
     PipelineConfig,
@@ -58,12 +58,14 @@ spectrum = gen_random_spectrum(3, gamma, rng, min_separation=2 * np.pi / n)
 g = add_noise(synth_line_spectral(spectrum, n), 30.0, rng)
 y = modulo_sample(g, 0.7)
 cfg = PipelineConfig(p=3, beta=0.04, iter_max=2)
-result = recover_residual(y, cfg, 0.7, gamma)
-print("objective trace (initial, then after each accepted pass):")
-for i, value in enumerate(result.objective_trace):
+stage_one = recover_line_spectrum(y, 3, gamma, 0.7, cfg).stage_one
+print("objective trace (initial, then after each update; a rejected one repeats it):")
+for i, value in enumerate(stage_one.objective_trace):
     print(f"  step {i}: {value:10.4f}")
+print(f"rejected updates: {stage_one.dp_rejections} dp, "
+      f"{stage_one.omp_rejections} greedy")
 
-inst_full = result.instance
+inst_full = build_instance(y, 0.7, guard_bins)  # the instance stage one solved
 delta = omp_refine(inst_full, np.zeros(inst_full.n_vars, dtype=complex))
 print(f"greedy alone reaches {exact_objective(inst_full, delta):.4f}; "
-      f"dp+greedy reached {result.objective_trace[-1]:.4f}")
+      f"dp+greedy reached {stage_one.objective_trace[-1]:.4f}")

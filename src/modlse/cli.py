@@ -68,8 +68,9 @@ CONFIG_KEYS = {
 
 
 def parse_config_file(path) -> dict:
-    """Parse ``key = value`` lines into typed config entries."""
+    """Parse ``key = value`` lines, each key at most once, into typed entries."""
     out: dict = {}
+    first_line: dict = {}
     for line_no, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -79,6 +80,10 @@ def parse_config_file(path) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in CONFIG_KEYS:
             raise ValueError(f"{path}:{line_no}: unknown key {key!r}")
+        if key in first_line:
+            raise ValueError(f"{path}:{line_no}: duplicate key {key!r} "
+                             f"(first on line {first_line[key]})")
+        first_line[key] = line_no
         kind = CONFIG_KEYS[key][2]
         try:
             out[key] = (tuple(float(v) for v in value.split(","))

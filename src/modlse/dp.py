@@ -1,12 +1,13 @@
 """Exact dynamic-programming minimizer for the band-truncated lattice problem.
 
 The DP, not the instance it solves, owns the band order ``p`` and the alphabet
-bound ``V``.  Truncating the Gram matrix to half-bandwidth ``p`` couples each
-unknown only to its ``p`` neighbours, so the objective splits into a chain of
-stage terms and admits an exact forward/backward sweep over the finite state
-alphabet ``{a + jb : |a|, |b| <= V}``.  The sweep returns a global minimizer of
-the *banded* objective; the brute-force enumerator certifies that on
-test-scale instances.
+bound ``V``; of the instance it reads the linear term ``b`` and the first
+``p + 1`` Gram offsets ``q``.  Truncating the Gram matrix to half-bandwidth
+``p`` couples each unknown only to its ``p`` neighbours, so the objective
+splits into a chain of stage terms and admits an exact forward/backward sweep
+over the finite state alphabet ``{a + jb : |a|, |b| <= V}``.  The sweep
+returns a global minimizer of the *banded* objective; the brute-force
+enumerator certifies that on test-scale instances.
 
 State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``):
 digit ``t`` of a key of ``values[k]`` is the state of variable ``k + t``, so
@@ -80,7 +81,7 @@ def banded_objective(inst: QuadraticInstance, eps: np.ndarray, p: int) -> float:
     """``eps^H Q_banded eps + 2 Re{b^H eps}`` at band order ``p``, without
     forming dense ``Q``."""
     eps = np.asarray(eps, dtype=complex)
-    band = inst.gram_band(p)
+    band = inst.q[:p + 1]
     acc = float(band[0].real * np.sum(np.abs(eps) ** 2))
     for d in range(1, p + 1):
         acc += 2.0 * float(np.real(band[d] * np.sum(np.conj(eps[:-d]) * eps[d:])))
@@ -141,7 +142,7 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     states = state_alphabet(v_bound)
     bsz = states.size
 
-    band = inst.gram_band(p)
+    band = inst.q[:p + 1]
 
     # Per-key digit tables: digit t of key is the state index of variable
     # k+1+t relative to stage k (least significant digit first).

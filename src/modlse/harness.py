@@ -199,8 +199,9 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     """Run every grid point of the configured sweep.
 
     Trials are independent and seeded by (master seed, point, trial), so the
-    aggregate is identical whatever ``parallelism`` is in force.  Every
-    (point, trial) job goes to one pool per call.
+    aggregate is identical whatever ``parallelism`` is in force.  All the
+    (point, trial) jobs go to one pool per call, of at most one worker a job
+    (a fork pool starts every worker at once); a single job runs in-process.
     """
     grid_field, (section, axis) = SCENARIOS[cfg.scenario][:2]
     grid = getattr(cfg, grid_field)
@@ -214,10 +215,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     jobs = [(point_cfg, t, point_index)
             for point_index, point_cfg in enumerate(configs)
             for t in range(cfg.trials)]
-    if cfg.parallelism > 1:
+    workers = min(cfg.parallelism, len(jobs))
+    if workers > 1:
         # imported here so that importing modlse does not load the pool
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=cfg.parallelism) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(run_trial, *zip(*jobs)))
     else:
         rows = [run_trial(*job) for job in jobs]

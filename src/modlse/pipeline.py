@@ -29,7 +29,6 @@ from .omp import accept_if_improves, omp_refine
 from .signals import (LineSpectrum, check_lam, check_lam_gamma, checked_int,
                       checked_order, finite_samples, residual_decompose)
 from .transform import (
-    QuadraticInstance,
     anti_difference,
     build_instance,
     exact_objective,
@@ -93,27 +92,24 @@ class PipelineConfig:
 
 @dataclass(frozen=True)
 class ResidualRecovery:
-    """Unfolding-stage output: folding counts plus an audit trail.  ``usalg``
-    solves no instance and leaves the trail empty."""
+    """Unfolding-stage output: folding counts up to an additive constant plus
+    an audit trail.  ``usalg`` solves no instance and leaves the trail empty."""
 
-    eps_diff: np.ndarray
     eps: np.ndarray
     objective_trace: list[float] = field(default_factory=list)
     dp_rejections: int = 0
     omp_rejections: int = 0
-    instance: QuadraticInstance | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
 class RecoveryResult:
-    """Full two-stage output; ``g_hat == y + 2*lam*eps_hat`` exactly."""
+    """Full two-stage output: ``eps_hat`` is ``stage_one.eps`` with its
+    constant removed blind, and ``g_hat == y + 2*lam*eps_hat`` exactly."""
 
     eps_hat: np.ndarray
     g_hat: np.ndarray
     spectrum_hat: LineSpectrum
-    objective_trace: list[float]
-    dp_rejections: int = 0
-    omp_rejections: int = 0
+    stage_one: ResidualRecovery
 
 
 def _checked_input(y: np.ndarray, lam: float, gamma: float) -> np.ndarray:
@@ -137,7 +133,7 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     y = _checked_input(y, lam, gamma)
     if spec.usalg:
         eps = residual_decompose(usalg(y, lam, select_usalg_order(y, lam)), y, lam)
-        return ResidualRecovery(eps_diff=np.diff(eps), eps=eps)
+        return ResidualRecovery(eps=eps)
     n = y.size
     bins = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
     inst = build_instance(y, lam, bins)
@@ -156,9 +152,8 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
             updated = accept_if_improves(inst, eps_d, omp_refine(inst, eps_d), trace)
             omp_rejected += updated is eps_d
             eps_d = updated
-    return ResidualRecovery(eps_diff=eps_d, eps=anti_difference(eps_d),
-                            objective_trace=trace, dp_rejections=dp_rejected,
-                            omp_rejections=omp_rejected, instance=inst)
+    return ResidualRecovery(eps=anti_difference(eps_d), objective_trace=trace,
+                            dp_rejections=dp_rejected, omp_rejections=omp_rejected)
 
 
 def _round_gaussian(z: complex) -> complex:
@@ -219,6 +214,4 @@ def recover_line_spectrum(y: np.ndarray, k: int, gamma: float, lam: float,
     eps = resolve_constant_blind(stage_one.eps, y, lam)
     g_hat = y + 2.0 * lam * eps
     return RecoveryResult(eps_hat=eps, g_hat=g_hat, spectrum_hat=nomp(g_hat, k),
-                          objective_trace=stage_one.objective_trace,
-                          dp_rejections=stage_one.dp_rejections,
-                          omp_rejections=stage_one.omp_rejections)
+                          stage_one=stage_one)

@@ -98,7 +98,9 @@ def select_subset_tail(n: int, gamma: float) -> np.ndarray:
     big_l = n - 1
     lo = int(np.floor(big_l / gamma)) + 1
     if lo >= big_l:
-        raise ValueError("no guard band; increase n or gamma")
+        raise ValueError(f"gamma={gamma} leaves no guard band at n={n}: the first tail "
+                         f"bin floor((n-1)/gamma) + 1 = {lo} is not below n - 1 = "
+                         f"{big_l}; increase n or gamma")
     return np.arange(lo, big_l)
 
 
@@ -110,8 +112,8 @@ class QuadraticInstance:
     ``bins``, ``z_s`` the scaled guard-band observations, ``b = F_s^H z_s``
     the linear term, and ``eps`` ranges over Gaussian-integer sequences of
     length ``n_vars``.  The Gram matrix ``Q = F_s^H F_s`` is Hermitian
-    Toeplitz, so a banded solver needs only its offsets ``0..p``
-    (:meth:`gram_band`) and a greedy refit only the block of its support
+    Toeplitz, so it is held as its offsets ``q[d] = Q[i, i+d]``: a banded
+    solver reads ``q[:p + 1]`` and a greedy refit the block of its support
     (:meth:`gram`); dense copies are for tests and diagnostics.
     """
 
@@ -119,6 +121,7 @@ class QuadraticInstance:
     n_vars: int
     z_s: np.ndarray = field(repr=False)
     b: np.ndarray = field(repr=False)
+    q: np.ndarray = field(repr=False)
 
     def forward(self, eps: np.ndarray) -> np.ndarray:
         """Apply ``F_s`` via FFT: unitary DFT followed by row selection."""
@@ -130,14 +133,10 @@ class QuadraticInstance:
         full[self.bins] = u
         return np.fft.ifft(full) * np.sqrt(self.n_vars)
 
-    def gram_band(self, p: int) -> np.ndarray:
-        """Offsets ``Q[i, i+d]`` for ``d = 0..p``, from one FFT."""
-        return _gram_offsets(self.bins, self.n_vars)[:p + 1]
-
     def gram(self, idx) -> np.ndarray:
-        """Block ``Q[idx][:, idx]``, indices in any order, gathered from one FFT."""
+        """Block ``Q[idx][:, idx]``, indices in any order, gathered from ``q``."""
         d = np.subtract.outer(idx, idx)
-        out = _gram_offsets(self.bins, self.n_vars)[np.abs(d)]
+        out = self.q[np.abs(d)]
         return np.where(d > 0, np.conj(out), out)
 
     def q_dense(self) -> np.ndarray:
@@ -151,19 +150,8 @@ class QuadraticInstance:
         return np.where(np.abs(idx) <= p, self.q_dense(), 0.0)
 
     def with_observation(self, z_s: np.ndarray) -> "QuadraticInstance":
-        """Same geometry, new observation vector (and matching linear term)."""
+        """Same ``bins`` and ``q``, new observation vector and matching linear term."""
         return replace(self, z_s=z_s, b=self.adjoint(z_s))
-
-
-def _gram_offsets(bins: np.ndarray, m: int) -> np.ndarray:
-    """Offsets ``q[d] = (1/m) * sum_{s in bins} exp(-2j*pi*s*d/m)``, d = 0..m-1.
-
-    The sum over the selected rows is the DFT of their indicator, so one FFT
-    gives every offset to within a few ulps, whatever the bins are.
-    """
-    indicator = np.zeros(m)
-    indicator[bins] = 1.0
-    return np.fft.fft(indicator) / m
 
 
 def build_instance(y: np.ndarray, lam: float, bins: np.ndarray) -> QuadraticInstance:
@@ -173,7 +161,9 @@ def build_instance(y: np.ndarray, lam: float, bins: np.ndarray) -> QuadraticInst
     domain DFT, as :func:`select_subset` returns them: a non-empty, strictly
     increasing integer array inside ``0..len(y)-2``.  ``z_s`` is the selected
     unitary DFT of the first difference of ``y`` divided by ``2*lam``, and
-    ``b = F_s^H z_s``.
+    ``b = F_s^H z_s``.  The Gram offsets ``q[d] = (1/m) * sum_{s in bins}
+    exp(-2j*pi*s*d/m)``, ``d = 0..m-1``, are computed here alone, by one FFT
+    of the bins' indicator, to within a few ulps.
     """
     y = np.asarray(y, dtype=complex)
     m = y.size - 1
@@ -187,7 +177,10 @@ def build_instance(y: np.ndarray, lam: float, bins: np.ndarray) -> QuadraticInst
         raise ValueError(f"bins {bins[0]}..{bins[-1]} outside 0..{m - 1} "
                          f"for {y.size} samples")
     z_s = dft(first_difference(y))[bins] / (2.0 * lam)
-    return QuadraticInstance(bins=bins, n_vars=m, z_s=None, b=None).with_observation(z_s)
+    indicator = np.zeros(m)
+    indicator[bins] = 1.0
+    return QuadraticInstance(bins=bins, n_vars=m, z_s=None, b=None,
+                             q=np.fft.fft(indicator) / m).with_observation(z_s)
 
 
 def exact_objective(inst: QuadraticInstance, eps: np.ndarray) -> float:

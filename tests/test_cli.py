@@ -49,6 +49,14 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_file(cfg)
 
+    def test_duplicate_key_rejected(self, tmp_path):
+        # the later value would otherwise replace the earlier one unseen
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("p = 2\n# comment\nseed = 7\np = 3\n")
+        with pytest.raises(ValueError) as exc:
+            parse_config_file(cfg)
+        assert str(exc.value) == f"{cfg}:4: duplicate key 'p' (first on line 1)"
+
     def test_missing_equals_rejected(self, tmp_path):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario snr_sweep\n")

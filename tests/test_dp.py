@@ -8,7 +8,6 @@ from modlse import (
     BudgetExceeded,
     DpStats,
     check_dp_budget,
-    QuadraticInstance,
     add_noise,
     banded_objective,
     brute_force_solve,
@@ -35,20 +34,6 @@ def random_instance(n, rng, subset_size=None, randomize_obs=True):
         z = rng.normal(size=subset_size) + 1j * rng.normal(size=subset_size)
         inst = inst.with_observation(z)
     return inst
-
-
-@dataclasses.dataclass(frozen=True)
-class FixedBand(QuadraticInstance):
-    """An instance whose Gram band is given rather than derived from its bins."""
-
-    band: np.ndarray = dataclasses.field(default=None, repr=False)
-
-    def gram_band(self, p):
-        return self.band[:p + 1]
-
-
-def with_band(inst, band):
-    return FixedBand(**vars(inst), band=band)
 
 
 class TestStateAlphabet:
@@ -228,7 +213,7 @@ def reference_dp_solve(inst, p, v):
     m, b = inst.n_vars, inst.b
     states = state_alphabet(v)
     bsz = states.size
-    band = inst.gram_band(p)
+    band = inst.q[:p + 1]
     q0 = float(band[0].real)
 
     keys = np.arange(bsz ** p)
@@ -305,8 +290,9 @@ class TestMatchesReferenceSolver:
             b = scale * (rng.integers(-2, 3, inst.n_vars)
                          + 1j * rng.integers(-2, 3, inst.n_vars))
             assert_matches_reference(dataclasses.replace(inst, b=b), p, 1)
+            # a band given rather than derived from the bins
             assert_matches_reference(
-                with_band(dataclasses.replace(inst, b=b), dyadic[:p + 1]), p, 1)
+                dataclasses.replace(inst, b=b, q=dyadic[:p + 1]), p, 1)
 
     def test_rounded_sums_keep_the_forward_order(self):
         # linear terms near 2^51, where a float64 ulp is 0.5 and each stage
@@ -327,7 +313,7 @@ class TestMatchesReferenceSolver:
         # real part v (b = -1), imaginary part -v (smallest index)
         rng = np.random.default_rng(73)
         inst = random_instance(11, rng)
-        flat = with_band(inst, np.zeros(p + 1, dtype=complex))
+        flat = dataclasses.replace(inst, q=np.zeros(p + 1, dtype=complex))
         eps = assert_matches_reference(
             dataclasses.replace(flat, b=-np.ones(inst.n_vars, dtype=complex)), p, v)
         np.testing.assert_array_equal(eps, np.full(inst.n_vars, v - 1j * v))

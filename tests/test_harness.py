@@ -215,7 +215,8 @@ class TestRunSweep:
     def test_greedy_method_without_a_tail_band_rejected(self):
         # every omp_only trial would fail on the empty tail band
         sampling = SamplingConfig(n=8, gamma=1.05, k=1)
-        with pytest.raises(ValueError, match="^no guard band"):
+        with pytest.raises(ValueError, match=r"^gamma=1\.05 leaves no guard band "
+                           r"at n=8: .* = 7 is not below n - 1 = 7; increase n or gamma$"):
             ExperimentConfig(scenario="snr_sweep", method="omp_only",
                              sampling=sampling, snr_grid=(30.0,), parallelism=2)
         # usalg selects no band
@@ -247,6 +248,38 @@ class TestRunSweep:
             for a, b in zip(point_s.results, point_p.results):
                 assert dataclasses.replace(a, runtime_s=0.0) == \
                     dataclasses.replace(b, runtime_s=0.0)
+
+    @pytest.mark.parametrize("parallelism,trials,grid,workers", [
+        (4, 1, (30.0,), None),  # one job runs in this process
+        (4, 3, (30.0,), 3),
+        (2, 3, (30.0, 20.0), 2),
+    ])
+    def test_pool_has_at_most_one_worker_a_job(self, parallelism, trials, grid,
+                                               workers, monkeypatch):
+        import concurrent.futures
+
+        asked = []
+
+        class SerialPool:
+            """Records its worker count and runs the jobs here, starting no process."""
+
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        cfg = small_config(trials=trials, snr_grid=grid, parallelism=parallelism)
+        points = run_sweep(cfg)
+        assert asked == ([] if workers is None else [workers])
+        assert [len(pt.results) for pt in points] == [trials] * len(grid)
 
     @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("scenario,grid", [

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from modlse import (
     METHODS,
     LineSpectrum,
     PipelineConfig,
+    ResidualRecovery,
     SamplingConfig,
     accept_if_improves,
     add_noise,
@@ -37,6 +40,19 @@ def on_grid_scene(rng, n=512, gamma=25.0, lam=0.5, k=3):
     return synth_line_spectral(spec, n), spec
 
 
+@pytest.fixture
+def built_bins(monkeypatch):
+    """The bins of each instance stage one builds, in order."""
+    seen = []
+
+    def spy(y, lam, bins):
+        seen.append(bins)
+        return build_instance(y, lam, bins)
+
+    monkeypatch.setattr(pipeline, "build_instance", spy)
+    return seen
+
+
 class TestRecoverResidual:
     def test_unfolded_noisy_input_gives_zero(self):
         rng = np.random.default_rng(100)
@@ -46,7 +62,6 @@ class TestRecoverResidual:
         y = modulo_sample(g, 1.0)
         np.testing.assert_array_equal(y, g)
         res = recover_residual(y, PipelineConfig(p=2, beta=0.05), 1.0, 10.0)
-        np.testing.assert_array_equal(res.eps_diff, np.zeros(255, dtype=complex))
         np.testing.assert_array_equal(res.eps, np.zeros(256, dtype=complex))
 
     def test_noiseless_on_grid_exact_recovery_rate(self):
@@ -101,7 +116,8 @@ class TestRecoverResidual:
         assert len(calls) == 1 + sum(nonzero)
         trace = res.objective_trace
         assert sum(a == b for a, b in zip(trace, trace[1:])) >= rejected
-        assert trace[-1] == exact_objective(res.instance, res.eps_diff)
+        inst = build_instance(y, 0.7, select_subset(512, 10.0, PipelineConfig().beta))
+        assert trace[-1] == exact_objective(inst, np.diff(res.eps))
 
     def test_plain_dp_reduction(self):
         # iter_max = 1 with refinement off must equal a single banded solve
@@ -113,29 +129,29 @@ class TestRecoverResidual:
         res = recover_residual(y, cfg, 0.7, 10.0, method="dp")
         inst = build_instance(y, 0.7, select_subset(256, 10.0, 0.05))
         expected = dp_solve(inst, 2, 1)
-        np.testing.assert_array_equal(res.eps_diff, expected)
         np.testing.assert_array_equal(res.eps, anti_difference(expected))
+        np.testing.assert_array_equal(np.diff(res.eps), expected)
 
-    def test_greedy_only_variant_runs(self):
+    def test_greedy_only_variant_runs(self, built_bins):
         rng = np.random.default_rng(104)
         spec = gen_random_spectrum(2, 10.0, rng)
         g = add_noise(synth_line_spectral(spec, 256), 30.0, rng)
         y = modulo_sample(g, 0.7)
         res = recover_residual(y, PipelineConfig(), 0.7, 10.0, method="omp_only")
-        assert res.eps_diff.size == 255
+        assert res.eps.size == 256
         # tail selection, not guard band
-        np.testing.assert_array_equal(res.instance.bins, select_subset_tail(256, 10.0))
+        assert len(built_bins) == 1
+        np.testing.assert_array_equal(built_bins[0], select_subset_tail(256, 10.0))
 
-    def test_usalg_variant_reports_no_instance(self):
+    def test_usalg_variant_reports_no_instance(self, built_bins):
         rng = np.random.default_rng(110)
         spec = gen_random_spectrum(2, 25.0, rng)
         g = synth_line_spectral(spec, 256)
         y = modulo_sample(g, 0.4)
         res = recover_residual(y, PipelineConfig(), 0.4, 25.0, method="usalg")
-        assert res.instance is None
+        assert built_bins == []
         assert res.objective_trace == []
         assert res.dp_rejections == res.omp_rejections == 0
-        np.testing.assert_array_equal(res.eps_diff, np.diff(res.eps))
         # noiseless and oversampled: exact up to the additive constant
         np.testing.assert_array_equal(
             resolve_constant_with_truth(res.eps, residual_decompose(g, y, 0.4)),
@@ -245,7 +261,7 @@ class TestFullPipeline:
         y = modulo_sample(g, 0.7)
         assert np.max(np.abs(residual_decompose(g, y, 0.7))) > 0
         result = recover_line_spectrum(y, 3, 10.0, 0.7)
-        trace = np.array(result.objective_trace)
+        trace = np.array(result.stage_one.objective_trace)
         assert np.all(np.diff(trace) <= 1e-12)
 
     def test_rejects_unknown_method(self):
@@ -302,6 +318,19 @@ class TestFullPipeline:
         np.testing.assert_array_equal(eps.imag, np.round(eps.imag))
         np.testing.assert_array_equal(result.g_hat, y + 2 * 0.5 * eps)
         assert result.spectrum_hat.order == 2
+
+    @pytest.mark.parametrize("method", sorted(METHODS))
+    def test_stage_one_is_recover_residual(self, method):
+        rng = np.random.default_rng(109)
+        spec = gen_random_spectrum(2, 10.0, rng, min_separation=2 * np.pi / 256)
+        y = modulo_sample(add_noise(synth_line_spectral(spec, 256), 35.0, rng), 0.5)
+        cfg = PipelineConfig()
+        held = recover_line_spectrum(y, 2, 10.0, 0.5, cfg, method).stage_one
+        fresh = recover_residual(y, cfg, 0.5, 10.0, method)
+        for f in dataclasses.fields(ResidualRecovery):
+            a, b = getattr(held, f.name), getattr(fresh, f.name)
+            assert type(a) is type(b)
+            np.testing.assert_array_equal(a, b)
 
     def test_usalg_recovers_noiseless_folded_reference_scenes(self):
         # the first 40 scenes of the reference benchmark, noiseless: the

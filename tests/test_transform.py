@@ -21,7 +21,6 @@ from modlse import (
     select_subset_tail,
     synth_line_spectral,
 )
-from modlse.transform import _gram_offsets
 
 
 def unitary_dft_matrix(m):
@@ -146,7 +145,9 @@ class TestSelectSubset:
         with pytest.raises(ValueError, match=re.escape(
                 f"gamma={gamma} leaves no admissible beta at n={n}")):
             select_subset(n, gamma, 0.5 * (lo + hi))
-        with pytest.raises(ValueError, match="no guard band"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"gamma={gamma} leaves no guard band at n={n}: the first tail "
+                f"bin floor((n-1)/gamma) + 1 = {n - 1} is not below n - 1 = {n - 1}")):
             select_subset_tail(n, gamma)
 
     @pytest.mark.parametrize("n,gamma", [(7, 4.0), (16, 4.0), (128, 8.0), (512, 10.0)])
@@ -247,7 +248,7 @@ class TestBuildInstance:
         rng = np.random.default_rng(29)
         z_new = rng.normal(size=inst.bins.size) + 1j * rng.normal(size=inst.bins.size)
         moved = inst.with_observation(z_new)
-        np.testing.assert_array_equal(moved.gram_band(2), inst.gram_band(2))
+        assert moved.q is inst.q and moved.bins is inst.bins
         fs = dense_fs(inst)
         np.testing.assert_allclose(moved.b, fs.conj().T @ z_new, atol=1e-12)
 
@@ -275,14 +276,18 @@ class TestGramSpectrum:
     ], ids=["contiguous_512", "contiguous_1024", "wide_1024", "random_1024",
             "sparse_200"])
     def test_offsets_match_exact_sum(self, n, bins):
-        # reference: every angle 2*pi*(s*d mod m)/m reduced exactly in
-        # integers, the terms summed without rounding by math.fsum
+        # q[d] = Q[0, d], the first row of F_s^H F_s; reference: every angle
+        # 2*pi*(s*d mod m)/m reduced exactly in integers, the terms summed
+        # without rounding by math.fsum
+        inst = build_instance(np.zeros(n), 0.5, bins)
+        fs = dense_fs(inst)
+        np.testing.assert_allclose(inst.q, fs[:, 0].conj() @ fs, rtol=0, atol=1e-12)
         m = n - 1
         reduced = np.outer(np.arange(m), bins) % m
         angle = 2.0 * np.pi * np.where(reduced > m // 2, reduced - m, reduced) / m
         exact = np.array([complex(math.fsum(c), -math.fsum(s)) / m
                           for c, s in zip(np.cos(angle), np.sin(angle))])
-        assert np.max(np.abs(_gram_offsets(bins, m) - exact)) <= 1e-15
+        assert np.max(np.abs(inst.q - exact)) <= 1e-15
 
 
 class TestNarrowGuardBand:
