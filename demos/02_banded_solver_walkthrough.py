@@ -27,7 +27,6 @@ from modlse import (
     recover_line_spectrum,
     select_subset,
     synth_line_spectral,
-    PipelineConfig,
 )
 
 rng = np.random.default_rng(2)
@@ -57,8 +56,7 @@ print("\n=== full-size solve with refinement ===")
 spectrum = gen_random_spectrum(3, gamma, rng, min_separation=2 * np.pi / n)
 g = add_noise(synth_line_spectral(spectrum, n), 30.0, rng)
 y = modulo_sample(g, 0.7)
-cfg = PipelineConfig(p=3, beta=0.04, iter_max=2)
-stage_one = recover_line_spectrum(y, 3, gamma, 0.7, cfg).stage_one
+stage_one = recover_line_spectrum(y, 3, gamma, 0.7).stage_one
 print("objective trace (initial, then after each update; a rejected one repeats it):")
 for i, value in enumerate(stage_one.objective_trace):
     print(f"  step {i}: {value:10.4f}")

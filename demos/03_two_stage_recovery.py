@@ -37,7 +37,7 @@ print(f"scene: {k} tones, SNR {snr_db} dB, "
       f"{int(np.count_nonzero(eps_true))}/{n} samples folded")
 
 print("\n=== two-stage recovery ===")
-stage = recover_residual(y, PipelineConfig(p=3, beta=0.04, iter_max=2), lam, gamma)
+stage = recover_residual(y, PipelineConfig(), lam, gamma)
 eps_hat = resolve_constant_with_truth(stage.eps, eps_true)
 hits = int(np.sum(eps_hat == eps_true))
 print(f"folding counts recovered at {hits}/{n} samples")

@@ -11,7 +11,6 @@ from pathlib import Path
 
 from modlse import (
     ExperimentConfig,
-    PipelineConfig,
     SamplingConfig,
     run_sweep,
     write_summary_json,
@@ -26,7 +25,6 @@ for method in ("dp_omp_iter", "usalg"):
     cfg = ExperimentConfig(
         scenario="snr_sweep",
         sampling=SamplingConfig(n=512, gamma=10.0, lam=0.7, k=3, seed=123),
-        pipeline=PipelineConfig(p=3, beta=0.04, iter_max=2),
         method=method, trials=TRIALS, snr_grid=GRID)
     points = run_sweep(cfg)
     print(f"method = {method}")

@@ -36,7 +36,7 @@ y = modulo_sample(g, lam)
 eps_true = residual_decompose(g, y, lam)
 print(f"{int(np.count_nonzero(eps_true))}/{n} samples folded")
 
-stage = recover_residual(y, PipelineConfig(p=3, beta=0.04, iter_max=2), lam, gamma)
+stage = recover_residual(y, PipelineConfig(), lam, gamma)
 eps_hat = resolve_constant_with_truth(stage.eps, eps_true)
 print(f"folding counts exactly recovered: {bool(np.array_equal(eps_hat, eps_true))}")
 

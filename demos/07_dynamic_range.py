@@ -14,7 +14,6 @@ import numpy as np
 
 from modlse import (
     LineSpectrum,
-    PipelineConfig,
     add_noise,
     gen_random_spectrum,
     modulo_sample,
@@ -25,7 +24,6 @@ from modlse import (
 
 n, gamma, lam, snr_db = 512, 10.0, 0.7, 50.0
 strong, scenes = 3.0, 20
-cfg = PipelineConfig(p=3, beta=0.04, iter_max=2)
 
 
 def clip(g: np.ndarray) -> np.ndarray:
@@ -51,7 +49,7 @@ for rel_db in (-20.0, -30.0, -40.0):
         g = add_noise(synth_line_spectral(LineSpectrum(spec.omegas, coeffs), n),
                       snr_db, rng)
         weak = spec.omegas[1]
-        unfolded = recover_line_spectrum(modulo_sample(g, lam), 2, gamma, lam, cfg)
+        unfolded = recover_line_spectrum(modulo_sample(g, lam), 2, gamma, lam)
         hits += [found(nomp(g, 2), weak), found(unfolded.spectrum_hat, weak),
                  found(nomp(clip(g), 2), weak)]
     print(f"{rel_db:>9.0f} dB {hits[0]:>10d} {hits[1]:>11d} {hits[2]:>13d}")

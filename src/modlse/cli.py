@@ -5,7 +5,6 @@ Subcommands
 simulate    draw a scene and write folded/unfolded IQ CSV files
 recover     run one recovery method on an IQ file
 experiment  run a configured Monte Carlo sweep, writing CSV + JSON
-ingest      validate an IQ file and print a short summary
 
 The ``experiment`` subcommand reads a ``key = value`` config file (one pair
 per line, ``#`` comments) whose keys name config dataclass fields; its flags
@@ -215,15 +214,6 @@ def _cmd_experiment(args) -> int:
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    signal = read_iq_csv(args.input)
-    print(f"{args.input}: {signal.size} samples")
-    print(f"  max |re| = {np.max(np.abs(signal.real)):.6g}")
-    print(f"  max |im| = {np.max(np.abs(signal.imag)):.6g}")
-    print(f"  rms      = {np.sqrt(np.mean(np.abs(signal) ** 2)):.6g}")
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="modlse",
@@ -249,10 +239,6 @@ def main(argv=None) -> int:
     _add_flags(exp, ("seed", "trials", "p", "beta", "snr", "gamma", "lambda",
                      "method"))
     exp.set_defaults(func=_cmd_experiment)
-
-    ing = subs.add_parser("ingest", help="validate and summarize an IQ file")
-    ing.add_argument("input")
-    ing.set_defaults(func=_cmd_ingest)
 
     args = parser.parse_args(_attach_signed_values(
         sys.argv[1:] if argv is None else argv))

@@ -44,6 +44,7 @@ from .transform import QuadraticInstance
 __all__ = [
     "BudgetExceeded",
     "check_dp_budget",
+    "check_dp_length",
     "DpStats",
     "state_alphabet",
     "banded_objective",
@@ -110,6 +111,13 @@ def check_dp_budget(p: int, v_bound: int) -> None:
     _check_budget((2 * v_bound + 1) ** (2 * (p + 1)), f"p={p} or v_bound={v_bound}")
 
 
+def check_dp_length(n_vars: int, p: int) -> None:
+    """The DP's length rule: band order ``p`` needs ``n_vars >= p + 2`` unknowns."""
+    if n_vars <= p + 1:
+        raise ValueError(f"instance too short: n_vars={n_vars} needs "
+                         f"n_vars >= p + 2 at p={p}")
+
+
 def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
              return_stats: bool = False):
     """Globally minimize the objective truncated to band order ``p`` over
@@ -136,9 +144,7 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     if bad.size:
         raise ValueError(f"non-finite linear term at index {bad[0]}")
     check_dp_budget(p, v_bound)
-    if m <= p + 1:
-        raise ValueError(f"instance too short: n_vars={m} needs "
-                         f"n_vars >= p + 2 at p={p}")
+    check_dp_length(m, p)
     states = state_alphabet(v_bound)
     bsz = states.size
 

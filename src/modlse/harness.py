@@ -16,11 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .dp import check_dp_budget
 from .lse import nmse, nomp
 from .pipeline import (
-    METHODS,
     PipelineConfig,
+    lookup_method,
     recover_residual,
     resolve_constant_with_truth,
 )
@@ -35,7 +34,6 @@ from .signals import (
     residual_decompose,
     synth_line_spectral,
 )
-from .transform import select_subset, select_subset_tail
 
 __all__ = [
     "ExperimentConfig",
@@ -60,12 +58,12 @@ SCENARIOS = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Complete description of one experiment run; a config that no trial
-    could run is rejected before any trial runs.
+    """Complete description of one experiment run; construction raises what a
+    trial of some grid point would raise building its config or its stage
+    one's bins (``Method.guard_bins``), or selecting a bandlimited scene's band.
 
     Each value of the scenario's grid sets one field of its point's config,
-    and ``bandlimited_sweep`` takes the model order ``k`` from its band;
-    :data:`SCENARIOS` lists the fields each scenario sets itself."""
+    and ``bandlimited_sweep`` takes ``k`` from its band (:data:`SCENARIOS`)."""
 
     scenario: str = "snr_sweep"
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -84,9 +82,7 @@ class ExperimentConfig:
         for grid in ("snr_grid", "beta_grid"):
             if grid != swept and getattr(self, grid):
                 raise ValueError(f"scenario {self.scenario!r} does not read {grid}")
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; "
-                             f"expected one of {tuple(METHODS)}")
+        method = lookup_method(self.method)
         if checked_int("trials", self.trials) < 1:
             raise ValueError("trials must be >= 1")
         if checked_int("parallelism", self.parallelism) < 1:
@@ -96,16 +92,20 @@ class ExperimentConfig:
                              f"{self.success_threshold_db!r}")
         if self.scenario == "bandlimited_sweep":
             bandlimited_bins(self.sampling.n, self.sampling.gamma)
-        if METHODS[self.method].dp:
-            check_dp_budget(self.pipeline.p, self.pipeline.v_bound)
-            # beta_grid, read by beta_sweep alone, replaces pipeline.beta
-            for beta in self.beta_grid or (self.pipeline.beta,):
-                select_subset(self.sampling.n, self.sampling.gamma, beta)
-        elif self.scenario == "beta_sweep":
+        if self.scenario == "beta_sweep" and not method.dp:
             raise ValueError(f"scenario 'beta_sweep' sweeps beta, which method "
                              f"{self.method!r} never reads")
-        elif METHODS[self.method].omp:
-            select_subset_tail(self.sampling.n, self.sampling.gamma)
+        for point in _point_sections(self):
+            method.guard_bins(point["sampling"].n, point["sampling"].gamma,
+                              point["pipeline"])
+
+
+def _point_sections(cfg: ExperimentConfig) -> list[dict]:
+    """Each grid point's config sections (the base config's for an empty grid)."""
+    grid_field, (section, axis) = SCENARIOS[cfg.scenario][:2]
+    base = {"sampling": cfg.sampling, "pipeline": cfg.pipeline}
+    return [{**base, section: replace(base[section], **{axis: float(value)})}
+            for value in getattr(cfg, grid_field)] or [base]
 
 
 @dataclass(frozen=True)
@@ -145,8 +145,8 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     NMSE of the re-synthesized estimate against the noise-free signal, after
     resolving the folding-count constant against ground truth.  Bandlimited
     scenes are scored through the same spectral fit with the model order set
-    to the number of active bins (:func:`bandlimited_bins`).  Every error propagates: a config no trial
-    could run is rejected by :class:`ExperimentConfig` before any trial runs.
+    to the number of active bins (:func:`bandlimited_bins`).  Every error
+    propagates; band and bin selection errors raise when the config is built.
     """
     rng, seed = _trial_rng(cfg, point_index, trial_index)
     samp = cfg.sampling
@@ -173,7 +173,7 @@ def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
     score = nmse(x_hat, x)
     runtime = time.perf_counter() - start
 
-    dp = METHODS[cfg.method].dp
+    dp = lookup_method(cfg.method).dp
     return TrialResult(trial_id=trial_index, seed=seed, method=cfg.method,
                        p=pipe.p if dp else None, beta=pipe.beta if dp else None,
                        snr_db=samp.snr_db, nmse_db=score,
@@ -203,14 +203,11 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     (point, trial) jobs go to one pool per call, of at most one worker a job
     (a fork pool starts every worker at once); a single job runs in-process.
     """
-    grid_field, (section, axis) = SCENARIOS[cfg.scenario][:2]
+    grid_field, (_, axis) = SCENARIOS[cfg.scenario][:2]
     grid = getattr(cfg, grid_field)
     if not grid:
         raise ValueError(f"{cfg.scenario} requires a non-empty {grid_field}")
-    # one config a point, its swept field set to the point's value
-    configs = [replace(cfg, **{section: replace(getattr(cfg, section),
-                                                **{axis: float(value)})})
-               for value in grid]
+    configs = [replace(cfg, **sections) for sections in _point_sections(cfg)]
     # run_trial's arguments (config, trial, point), one job a trial
     jobs = [(point_cfg, t, point_index)
             for point_index, point_cfg in enumerate(configs)

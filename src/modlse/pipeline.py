@@ -12,8 +12,8 @@ baseline replaces stage one by higher-order-difference unfolding, its order
 picked from the modulo samples alone.  Stage two runs the Newton-refined
 greedy estimator on the unfolded signal.
 
-``METHODS`` maps each method name to the stages it runs; it is the one place
-that knows what a method is.
+``METHODS`` maps each method name to the stages it runs and the bins they
+select (:meth:`Method.guard_bins`); it is the one place that knows what a method is.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import select_usalg_order, usalg
-from .dp import dp_solve
+from .dp import check_dp_budget, check_dp_length, dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
 from .signals import (LineSpectrum, check_lam, check_lam_gamma, checked_int,
@@ -53,15 +53,27 @@ class Method:
     """The stages one named method runs.
 
     ``iterate`` runs ``PipelineConfig.iter_max`` solve/refine passes instead
-    of one.  Without the DP the greedy refinement selects every bin above the
-    signal band instead of the two-sided guard band.  ``usalg`` replaces the
-    whole unfolding stage by the higher-order-difference baseline.
+    of one.  ``usalg`` replaces the whole unfolding stage by the
+    higher-order-difference baseline.
     """
 
     dp: bool = False
     omp: bool = False
     iterate: bool = False
     usalg: bool = False
+
+    def guard_bins(self, n: int, gamma: float, cfg: PipelineConfig) -> np.ndarray | None:
+        """Stage one's bins for a record of ``n`` samples: the two-sided guard
+        band for a DP method, once ``cfg.p``, ``cfg.v_bound`` and ``n`` pass
+        the DP's checks; every bin above the signal band without the DP; none
+        for ``usalg``.  :func:`recover_residual` selects its bins here alone."""
+        if self.usalg:
+            return None
+        if not self.dp:
+            return select_subset_tail(n, gamma)
+        check_dp_budget(cfg.p, cfg.v_bound)
+        check_dp_length(n - 1, cfg.p)
+        return select_subset(n, gamma, cfg.beta)
 
 
 METHODS = {
@@ -71,6 +83,13 @@ METHODS = {
     "omp_only": Method(omp=True),
     "usalg": Method(usalg=True),
 }
+
+
+def lookup_method(method: str) -> Method:
+    """The ``METHODS`` entry named ``method``; a ``ValueError`` lists the names."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
+    return METHODS[method]
 
 
 @dataclass(frozen=True)
@@ -127,15 +146,12 @@ def recover_residual(y: np.ndarray, cfg: PipelineConfig, lam: float,
     names the stages in ``METHODS``; ``usalg`` instead unfolds at the
     difference order :func:`select_usalg_order` picks from ``y``.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {tuple(METHODS)}")
-    spec = METHODS[method]
+    spec = lookup_method(method)
     y = _checked_input(y, lam, gamma)
-    if spec.usalg:
+    bins = spec.guard_bins(y.size, gamma, cfg)
+    if bins is None:
         eps = residual_decompose(usalg(y, lam, select_usalg_order(y, lam)), y, lam)
         return ResidualRecovery(eps=eps)
-    n = y.size
-    bins = select_subset(n, gamma, cfg.beta) if spec.dp else select_subset_tail(n, gamma)
     inst = build_instance(y, lam, bins)
     eps_d = np.zeros(inst.n_vars, dtype=complex)
     trace = [exact_objective(inst, eps_d)]

@@ -138,7 +138,8 @@ class SamplingConfig:
         check_lam_gamma(self.lam, self.gamma)
         checked_order(self.k, self.n)
         check_snr(self.snr_db)
-        checked_int("seed", self.seed)
+        if checked_int("seed", self.seed) < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:

@@ -85,7 +85,7 @@ class TestConfigFile:
 
 
 class TestCliCommands:
-    def test_simulate_then_ingest_and_recover(self, tmp_path, capsys):
+    def test_simulate_then_recover(self, tmp_path, capsys):
         prefix = tmp_path / "scene"
         assert main(["simulate", "--n", "256", "--k", "2", "--seed", "3",
                      "--gamma", "10", "--lambda", "0.5", "--snr", "30",
@@ -98,9 +98,7 @@ class TestCliCommands:
         assert y.size == g.size == 256
         assert np.max(np.abs(y.real)) <= 0.5
 
-        assert main(["ingest", str(folded)]) == 0
-        out = capsys.readouterr().out
-        assert "256 samples" in out
+        capsys.readouterr()  # simulate's lines, which name omegas too
 
         assert main(["recover", str(folded), "--k", "2", "--gamma", "10",
                      "--lambda", "0.5", "--method", "dp_omp_iter",

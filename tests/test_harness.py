@@ -321,6 +321,47 @@ class TestRunSweep:
         assert all(b >= a - 0.1 for a, b in zip(rates, rates[1:]))
 
 
+def _value_error(build):
+    """The message of the ValueError ``build()`` raises, or None."""
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestConfigMatchesItsTrials:
+    """``ExperimentConfig`` accepts a config exactly when one trial of each of
+    its points runs, and rejects it with the message that trial raises."""
+
+    @staticmethod
+    def check(monkeypatch, **kwargs):
+        rejected = _value_error(lambda: ExperimentConfig(trials=1, **kwargs))
+        with monkeypatch.context() as unchecked:
+            # the same config, unchecked, run one trial a point
+            unchecked.setattr(ExperimentConfig, "__post_init__", lambda self: None)
+            failed = _value_error(
+                lambda: run_sweep(ExperimentConfig(trials=1, **kwargs)))
+        assert rejected == failed, kwargs
+
+    @pytest.mark.parametrize("n", [6, 7, 8, 16])
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_record_lengths(self, method, n, monkeypatch):
+        # n = 6 with p = 4 and beta = 0.3 admits a guard band but leaves the
+        # DP n - 1 = 5 unknowns, fewer than p + 2
+        for p in (1, 4):
+            for beta in (0.04, 0.2, 0.3):
+                self.check(monkeypatch, method=method, snr_grid=(30.0,),
+                           sampling=SamplingConfig(n=n, gamma=10.0, k=1),
+                           pipeline=PipelineConfig(p=p, beta=beta))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_every_grid_value(self, method, bad, monkeypatch):
+        self.check(monkeypatch, method=method, snr_grid=(30.0, bad),
+                   sampling=SamplingConfig(n=16, gamma=10.0, k=1))
+
+
 class TestIqFiles:
     def test_round_trip_identity(self, tmp_path):
         rng = np.random.default_rng(55)

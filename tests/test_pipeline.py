@@ -177,6 +177,14 @@ class TestRecoverResidual:
                              0.5, 10.0)
 
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_record_too_short_for_the_band_rejected(self, n):
+        # the DP's length rule runs before the guard band is selected, whose
+        # bounds divide by n - 1
+        with pytest.raises(ValueError, match=rf"^instance too short: n_vars={n - 1} "):
+            recover_residual(np.zeros(n), PipelineConfig(p=3, beta=0.3), 0.5, 10.0)
+
+
 class TestConstantResolution:
     def test_truth_removes_constant_offset(self):
         rng = np.random.default_rng(105)

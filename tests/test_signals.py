@@ -170,6 +170,7 @@ class TestSamplingConfig:
     @pytest.mark.parametrize("field,value,message", [
         ("n", 64.5, "n must be an integer, got 64.5"),
         ("seed", 1.5, "seed must be an integer, got 1.5"),
+        ("seed", -1, "^seed must be >= 0, got -1$"),
         ("snr_db", np.nan, "snr_db must be a number or \\+inf"),
         ("snr_db", -np.inf, "snr_db must be a number or \\+inf"),
     ])
