@@ -44,9 +44,7 @@ def usalg(y: np.ndarray, lam: float, order_d: int = 1) -> np.ndarray:
     stays inside ``[-lam, lam)`` componentwise; outside that regime the
     output is simply wrong and the caller is expected to score it.
     """
-    order_d = checked_int("difference order", order_d)
-    if order_d < 1:
-        raise ValueError("difference order must be >= 1")
+    order_d = checked_int("difference order", order_d, 1)
     y = finite_samples(y)
     if y.size <= order_d:
         raise ValueError("record too short for this difference order")

@@ -33,8 +33,7 @@ def residual_state_bound(k: int, c_max: float, lam: float, gamma: float) -> int:
     Both integer parts of every first-differenced folding count lie in
     ``{-V..V}`` with ``V = floor(k*pi*c_max / (lam*gamma) + 1)``.
     """
-    if checked_int("k", k) < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    checked_int("k", k, 1)
     if not (np.isfinite(c_max) and c_max > 0):
         raise ValueError(f"c_max must be finite and positive, got {c_max!r}")
     check_lam_gamma(lam, gamma)

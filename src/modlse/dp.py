@@ -105,9 +105,8 @@ def check_dp_budget(p: int, v_bound: int) -> None:
     """The one check of the DP's knobs: ``p`` and ``v_bound`` must be integers
     >= 1 (a ``ValueError`` names the knob), and a stage table of
     ``(2V+1)^(2(p+1))`` entries must fit the budget (:class:`BudgetExceeded`)."""
-    for name, value in (("p", p), ("v_bound", v_bound)):
-        if checked_int(name, value) < 1:
-            raise ValueError(f"{name} must be >= 1, got {value}")
+    checked_int("p", p, 1)
+    checked_int("v_bound", v_bound, 1)
     _check_budget((2 * v_bound + 1) ** (2 * (p + 1)), f"p={p} or v_bound={v_bound}")
 
 

@@ -83,10 +83,8 @@ class ExperimentConfig:
             if grid != swept and getattr(self, grid):
                 raise ValueError(f"scenario {self.scenario!r} does not read {grid}")
         method = lookup_method(self.method)
-        if checked_int("trials", self.trials) < 1:
-            raise ValueError("trials must be >= 1")
-        if checked_int("parallelism", self.parallelism) < 1:
-            raise ValueError("parallelism must be >= 1")
+        checked_int("trials", self.trials, 1)
+        checked_int("parallelism", self.parallelism, 1)
         if not np.isfinite(self.success_threshold_db):
             raise ValueError("success_threshold_db must be finite, got "
                              f"{self.success_threshold_db!r}")

@@ -198,26 +198,32 @@ def _vp_refine(g: np.ndarray, omegas: np.ndarray, a: np.ndarray,
     return omegas, a, ginv, coeffs, resid, cost
 
 
-def _swap_weakest(g: np.ndarray, fit):
-    """Trade the atom that is cheapest to drop for the residual's peak.
+def _cheapest_drop(ginv: np.ndarray, coeffs: np.ndarray) -> tuple[int, float]:
+    """The atom whose drop least raises a least-squares fit's residual energy,
+    and that rise ``|c_i|^2 / [(A^H A)^-1]_ii``.  The drop removes the energy
+    ``|<u, g>|^2 / |u|^2`` of ``g`` along ``u``, the part of ``a_i`` orthogonal
+    to the others; ``<u, g> = c_i |u|^2``, ``|u|^2 = 1 / [(A^H A)^-1]_ii``."""
+    loss = np.abs(coeffs) ** 2 / np.diag(ginv).real
+    return int(np.argmin(loss)), float(np.min(loss))
 
-    Dropping atom ``i`` from a least-squares fit raises its cost by
-    ``|c_i|^2 / (A^H A)^-1_ii``; adding an atom at the residual's
-    periodogram peak lowers it by at least the peak power over ``n``.  The
-    trade must gain more than the margin ``s^2 ln(n / SWAP_FALSE_ALARM)``,
-    about the highest periodogram peak that white noise of the estimated
-    variance ``s^2 = cost / (n - k)`` reaches, first by that estimate and
-    then on the exchanged set's own fit; otherwise ``fit`` is returned as it
-    is.  Below that margin the trade would fit noise, not a missed
-    component.  The exchanged set is refined by :func:`_vp_refine`.
+
+def _swap_weakest(g: np.ndarray, fit):
+    """Trade the atom that is cheapest to drop (:func:`_cheapest_drop`) for
+    the residual's periodogram peak, which lowers the cost by at least its
+    power over ``n``.  The trade must gain more than the margin
+    ``s^2 ln(n / SWAP_FALSE_ALARM)``, about the highest periodogram peak
+    that white noise of the estimated variance ``s^2 = cost / (n - k)``
+    reaches, first by that estimate and then on the exchanged set's own fit;
+    otherwise ``fit`` is returned as it is.  Below that margin the trade
+    would fit noise, not a missed component.  The exchanged set is refined
+    by :func:`_vp_refine`.
     """
     omegas, _, ginv, coeffs, resid, cost = fit
     n = g.size
     omega, power = _peak(resid)
-    loss = np.abs(coeffs) ** 2 / np.diag(ginv).real
-    weak = int(np.argmin(loss))
+    weak, loss = _cheapest_drop(ginv, coeffs)
     margin = cost / (n - omegas.size) * np.log(n / SWAP_FALSE_ALARM)
-    if power / n - loss[weak] <= margin:
+    if power / n - loss <= margin:
         return fit
     w = omegas.copy()
     w[weak] = omega
@@ -229,21 +235,16 @@ def _swap_weakest(g: np.ndarray, fit):
 
 
 def _drop_lossless(g: np.ndarray, fit):
-    """Drop atoms whose removal loses no fit; returns ``omegas, coeffs``.
-
-    Dropping atom ``i`` from a least-squares fit raises its residual energy
-    by ``|c_i|^2 / (A^H A)^-1_ii``.  While the cheapest atom's loss is
-    within ``1e-9`` of the signal energy, it is dropped and the rest refitted:
-    true duplicates (two atoms on one peak) and atoms fitted to a
-    rounding-level residual go, while close pairs that resolve two
-    components would lose fit and stay.
-    """
+    """While the cheapest atom to drop (:func:`_cheapest_drop`) loses at most
+    ``1e-9`` of the signal energy, drop it and refit the rest; returns
+    ``omegas, coeffs``.  True duplicates (two atoms on one peak) and atoms
+    fitted to a rounding-level residual go, while close pairs that resolve
+    two components would lose fit and stay."""
     omegas, a, ginv, coeffs, _, _ = fit
     tol = 1e-9 * float(np.vdot(g, g).real)
     while omegas.size > 1:
-        loss = np.abs(coeffs) ** 2 / np.diag(ginv).real
-        drop = int(np.argmin(loss))
-        if loss[drop] > tol:
+        drop, loss = _cheapest_drop(ginv, coeffs)
+        if loss > tol:
             break
         omegas, a = np.delete(omegas, drop), np.delete(a, drop, axis=1)
         ginv, coeffs, _, _ = _project(g, a)

@@ -49,7 +49,7 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
         except np.linalg.LinAlgError:  # the new column is in the span
             break
         delta = np.zeros(inst.n_vars, dtype=complex)
-        delta[support] = np.round(fit.real) + 1j * np.round(fit.imag)
+        delta[support] = np.round(fit)
         if np.array_equal(delta, best_delta):  # would score the same
             break
         residual = base + inst.forward(delta)

@@ -100,12 +100,16 @@ def finite_samples(x) -> np.ndarray:
     return x
 
 
-def checked_int(name: str, value) -> int:
-    """Return ``value`` as an ``int``, or raise a ``ValueError`` naming ``name``."""
+def checked_int(name: str, value, least: int | None = None) -> int:
+    """Return ``value`` as an ``int``, or raise a ``ValueError`` naming ``name``
+    if it is not an integer or is below ``least``, when that is given."""
     try:
-        return operator.index(value)
+        value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def checked_order(k, n: int) -> int:
@@ -113,9 +117,7 @@ def checked_order(k, n: int) -> int:
 
     Raises ``ValueError`` unless ``k`` is an integer from 1 to ``n / 2``.
     """
-    k = checked_int("k", k)
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    k = checked_int("k", k, 1)
     if k > n / 2:
         raise ValueError("k may not exceed half the record length")
     return k
@@ -133,13 +135,11 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if checked_int("n", self.n) < 2:
-            raise ValueError("n must be >= 2")
+        checked_int("n", self.n, 2)
         check_lam_gamma(self.lam, self.gamma)
         checked_order(self.k, self.n)
         check_snr(self.snr_db)
-        if checked_int("seed", self.seed) < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        checked_int("seed", self.seed, 0)
 
 
 def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:
@@ -152,8 +152,7 @@ def synth_line_spectral(spectrum: LineSpectrum, n: int) -> np.ndarray:
     n : int
         Number of samples, at least 2.
     """
-    if checked_int("n", n) < 2:
-        raise ValueError("n must be >= 2")
+    checked_int("n", n, 2)
     t = np.arange(n)
     return np.exp(1j * np.outer(t, spectrum.omegas)) @ spectrum.coeffs
 
@@ -172,8 +171,7 @@ def gen_random_spectrum(k: int, gamma: float, rng: np.random.Generator,
     negative, or if the band cannot hold ``k`` frequencies that far apart;
     also if ``MAX_REDRAWS`` draws in a row are rejected.
     """
-    if checked_int("k", k) < 1:
-        raise ValueError("k must be >= 1")
+    checked_int("k", k, 1)
     check_gamma(gamma)
     hi = 2.0 * np.pi / gamma
     if min_separation is None:
@@ -209,8 +207,7 @@ def bandlimited_bins(n: int, gamma: float) -> int:
     bandlimited scene.  Raises ``ValueError`` if ``n`` is not an integer
     >= 4, ``gamma`` is not finite and above 1, or the band is empty.
     """
-    if checked_int("n", n) < 4:
-        raise ValueError("n must be >= 4")
+    checked_int("n", n, 4)
     check_gamma(gamma)
     bins = min(int(np.floor(n / gamma)), (n - 1) // 2)
     if bins < 1:
@@ -300,10 +297,9 @@ def residual_decompose(g: np.ndarray, y: np.ndarray, lam: float) -> np.ndarray:
     raw = (g - y) / (2.0 * lam)
     scale = max(1.0, float(np.max(np.abs(g))) / (2.0 * lam)) if g.size else 1.0
     tol = 1e-9 * scale
-    re = np.round(raw.real)
-    im = np.round(raw.imag)
-    if np.max(np.abs(raw.real - re), initial=0.0) > tol or \
-       np.max(np.abs(raw.imag - im), initial=0.0) > tol:
+    eps = np.round(raw)
+    if np.max(np.abs(raw.real - eps.real), initial=0.0) > tol or \
+       np.max(np.abs(raw.imag - eps.imag), initial=0.0) > tol:
         raise ValueError("residual is not on the Gaussian-integer lattice; "
                          "inputs are inconsistent")
-    return re + 1j * im
+    return eps

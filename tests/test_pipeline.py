@@ -299,7 +299,7 @@ class TestFullPipeline:
             SamplingConfig(lam=lam, gamma=gamma)
 
     @pytest.mark.parametrize("k,message", [
-        (0, "k must be >= 1"),
+        (0, "k must be >= 1, got 0"),
         (300, "k may not exceed half the record length"),
         (2.5, "k must be an integer, got 2.5"),
     ])
