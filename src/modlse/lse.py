@@ -120,15 +120,13 @@ def _detect(g: np.ndarray, k: int):
     gains no spurious atom.  Returns the fit ``omegas, a, ginv, coeffs,
     resid, cost`` of :func:`_vp_refine`.
     """
-    n = g.size
-    t = np.arange(n)
-    a = np.empty((n, k), dtype=complex)
+    a = np.empty((g.size, k), dtype=complex)
     omegas = np.empty(k)
     floor = (ROUNDING * float(np.linalg.norm(g))) ** 2
     fit, resid, j = None, g, 0
     while j < k:
         omegas[j] = _peak(resid)[0]
-        a[:, j] = np.exp(1j * omegas[j] * t)
+        a[:, j:j + 1] = _atoms(omegas[j:j + 1], g.size)
         try:
             cand = _project(g, a[:, :j + 1])
         except np.linalg.LinAlgError:  # the new atom is in the span

@@ -24,9 +24,9 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
 
     Each selection re-fits the support on its Gram block against ``-F_s^H r0``
     (``r0`` the residual of ``eps_hat``) and scores the rounded update as
-    ``r0 + F_s delta``.  Stops after ``ceil(|S|/4)`` selections, at a singular
-    Gram block, or at the first update with no strict decrease (a repeated
-    update stops unscored).  Returns zero when no improving atom exists.
+    ``r0 + F_s delta``.  Stops when no unselected column correlates with the
+    residual, at a singular Gram block (``Q`` has rank ``|S|``), at a repeated
+    update (unscored) or at no strict decrease.  Returns zero if none improves.
     """
     eps_hat = np.asarray(eps_hat, dtype=complex)
     if eps_hat.size != inst.n_vars:
@@ -38,7 +38,7 @@ def omp_refine(inst: QuadraticInstance, eps_hat: np.ndarray) -> np.ndarray:
     corr = np.abs(rhs)
     support: list[int] = []
 
-    for _ in range(int(np.ceil(inst.bins.size / 4))):
+    while True:
         corr[support] = -1.0
         j = int(np.argmax(corr))
         if corr[j] <= 0.0:

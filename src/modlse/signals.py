@@ -102,8 +102,10 @@ def finite_samples(x) -> np.ndarray:
 
 def checked_int(name: str, value, least: int | None = None) -> int:
     """Return ``value`` as an ``int``, or raise a ``ValueError`` naming ``name``
-    if it is not an integer or is below ``least``, when that is given."""
+    if it is a ``bool``, not an integer, or below ``least`` when that is given."""
     try:
+        if isinstance(value, bool):  # operator.index(True) is True
+            raise TypeError
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None

@@ -311,6 +311,16 @@ class TestRunSweep:
         assert [pt.axis for pt in points] == ["beta", "beta"]
         assert {r.beta for pt in points for r in pt.results} == {0.03, 0.08}
 
+    def test_greedy_only_unfolds_folded_scenes(self):
+        # lam = 1.5 folds the default scene; 9 of these 20 trials need more
+        # than ceil(|S|/4) = 115 corrections from the greedy pass on the tail
+        # band (|S| = 459), and each succeeds only if the pass makes them all
+        cfg = ExperimentConfig(
+            scenario="snr_sweep", method="omp_only", trials=20, snr_grid=(30.0,),
+            sampling=SamplingConfig(n=512, gamma=10.0, lam=1.5, seed=5))
+        [point] = run_sweep(cfg)
+        assert point.success_rate >= 0.9
+
     def test_success_trend_over_snr(self):
         # success probability must not decrease with SNR beyond sampling slack
         cfg = small_config(scenario="snr_sweep", snr_grid=(10.0, 22.0, 34.0),

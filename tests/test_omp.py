@@ -33,7 +33,7 @@ def planted_instance(rng, n=64, subset_size=45, noise=1e-3, bins=None):
 def reference_refine(inst, eps_hat):
     """Dense oracle of :func:`omp_refine`: normal equations on ``q_dense()``.
 
-    Stops at the cap or on the first rounded update with no strict decrease.
+    Stops on the first rounded update with no strict decrease.
     """
     m = inst.n_vars
     fs = np.exp(-2j * np.pi * np.outer(inst.bins, np.arange(m)) / m) / np.sqrt(m)
@@ -42,7 +42,7 @@ def reference_refine(inst, eps_hat):
     rhs = -(fs.conj().T @ base)
     best_obj = np.vdot(base, base).real
     best_delta, residual, support = np.zeros(m, dtype=complex), base, []
-    for _ in range(int(np.ceil(inst.bins.size / 4))):
+    while True:
         corr = np.abs(fs.conj().T @ residual)
         corr[support] = -1.0
         support.append(int(np.argmax(corr)))
@@ -111,18 +111,18 @@ class TestOmpRefine:
         assert np.array_equal(wrong + delta, eps_true)
         assert np.max(np.abs(delta.real)) == 3.0
 
-    def test_sparsity_cap_respected(self):
-        # 16 planted errors against a cap of ceil(|S|/4) = 12 selections: the
-        # cap stops the greedy pass while improving atoms remain
+    def test_corrects_more_errors_than_a_quarter_of_the_band(self):
+        # 16 planted errors on |S| = 45 bins, more than ceil(|S|/4) = 12: the
+        # pass stops on its own guards only, so it corrects all 16, and a
+        # second pass from the truth finds nothing left to correct
         rng = np.random.default_rng(75)
         inst, eps_true = planted_instance(rng)
-        cap = int(np.ceil(inst.bins.size / 4))
-        assert cap == 12
+        assert inst.bins.size == 45
         start = eps_true.copy()
         start[rng.choice(inst.n_vars, size=16, replace=False)] += 1.0
         delta = omp_refine(inst, start)
-        assert np.count_nonzero(delta) == cap
-        assert np.count_nonzero(omp_refine(inst, start + delta)) > 0
+        np.testing.assert_array_equal(start + delta, eps_true)
+        assert not omp_refine(inst, start + delta).any()
 
     def test_repeated_update_stops_the_pass(self, monkeypatch):
         # trial 4 of the 14 dB point of a (30, 14) dB snr_sweep at seed

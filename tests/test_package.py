@@ -55,3 +55,12 @@ def test_integer_knob_below_its_least_names_it_with_bound_and_value(name, least,
     message = f"{name} must be >= {least}, got {least - 1}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(np.int64(least - 1))
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("name,least,call", INTEGER_KNOBS.values(), ids=INTEGER_KNOBS)
+def test_integer_knob_rejects_a_bool(name, least, call, value):
+    # operator.index(True) is True, so a bool would pass as 1 or 0
+    message = f"{name} must be an integer, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
