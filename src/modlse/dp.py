@@ -10,26 +10,27 @@ returns a global minimizer of the *banded* objective; the brute-force
 enumerator certifies that on test-scale instances.
 
 State tuples are flattened to radix-``B`` integers (``B = (2V+1)^2``):
-digit ``t`` of a key of ``values[k]`` is the state of variable ``k + t``, so
+digit ``t`` of a key of a value table is the state of variable ``k + t``, so
 the variable that stage ``k`` eliminates is the least significant digit.  Each
 forward stage adds the variable's linear row to the ``B^p`` entries of the
-previous value table, into a ``(B, B^(p-1))`` buffer (eliminated state by the
-states of the next ``p - 1`` variables); broadcasts that against the stage's
-coupling term into a ``(B, B^p)`` buffer (eliminated state by key of the next
-``p`` states); and takes the column minima as the next value table.  ``p``
+previous value table, into the stage's pre-coupling table of shape ``(B,
+B^(p-1))`` (eliminated state by the states of the next ``p - 1`` variables);
+broadcasts that against the stage's coupling term into a ``(B, B^p)`` buffer
+(eliminated state by key of the next ``p`` states); and takes the column
+minima as the next value table, which overwrites the one value vector.  ``p``
 padding variables follow the last one, held at state 0, which adds nothing to
 any stage term; so every variable has one stage of the same shape, and the
 last value table at the all-padding key (every digit the index of state 0) is
-the minimum.  Every stage's value table is kept, ``(n_vars + 1) * B^p``
-float64 entries (26.9 MB at ``n_vars = 511``, ``p = 4``, ``V = 1``); no argmin
-is stored.  The backward pass starts at the all-padding key and re-evaluates
-the one column of each stage that the states chosen after it select: the
-``B`` contiguous entries ``r*B .. r*B + B - 1`` of the kept table, where ``r``
-holds the next ``p - 1`` states, with the forward pass's arithmetic in the
-same order.  It takes the first minimizing state ``s`` and moves on to key
-``r*B + s``.  Ties therefore go to the smallest state index
+the minimum.  Every stage's pre-coupling table is kept, ``n_vars * B^p``
+float64 entries (26.8 MB at ``n_vars = 511``, ``p = 4``, ``V = 1``), and
+:func:`check_dp` bounds them before anything is allocated; no argmin is
+stored.  The backward pass starts at the all-padding key and, for each stage,
+adds the coupling column of the current key to the kept entries ``kept[k, :,
+r]``, where ``r`` holds the next ``p - 1`` states: the forward pass's own
+operands, summed in its order.  It takes the first minimizing state ``s`` and
+moves on to key ``r*B + s``.  Ties therefore go to the smallest state index
 (:func:`state_alphabet` order) of the last variable, then of the one before
-it, and so on.  Both buffers are reused from stage to stage.
+it, and so on.
 """
 
 from __future__ import annotations
@@ -43,8 +44,7 @@ from .transform import QuadraticInstance
 
 __all__ = [
     "BudgetExceeded",
-    "check_dp_budget",
-    "check_dp_length",
+    "check_dp",
     "DpStats",
     "state_alphabet",
     "banded_objective",
@@ -53,7 +53,8 @@ __all__ = [
 ]
 
 DEFAULT_BUDGET = 10 ** 8
-"""Fail-fast ceiling on per-stage enumeration size (table entries)."""
+"""Fail-fast ceiling, in table entries, on one stage table and on the kept
+tables of one solve."""
 
 
 def state_alphabet(v_bound: int) -> np.ndarray:
@@ -90,31 +91,33 @@ def banded_objective(inst: QuadraticInstance, eps: np.ndarray, p: int) -> float:
 
 
 class BudgetExceeded(ValueError):
-    """An exact enumeration would exceed its table-entry budget."""
+    """An exact solve would exceed its table-entry budget."""
 
 
-def _check_budget(entries: int, knobs: str) -> None:
+def _check_budget(what: str, entries: int, knobs: str) -> None:
     if entries > DEFAULT_BUDGET:
         raise BudgetExceeded(
-            f"state-space enumeration of {entries} entries exceeds budget {DEFAULT_BUDGET}; "
-            f"reduce {knobs}"
+            f"{what} of {entries} entries exceeds budget {DEFAULT_BUDGET}; reduce {knobs}"
         )
 
 
-def check_dp_budget(p: int, v_bound: int) -> None:
-    """The one check of the DP's knobs: ``p`` and ``v_bound`` must be integers
-    >= 1 (a ``ValueError`` names the knob), and a stage table of
-    ``(2V+1)^(2(p+1))`` entries must fit the budget (:class:`BudgetExceeded`)."""
+def check_dp(n_vars: int, p: int, v_bound: int) -> None:
+    """The DP's one admission rule, checked before anything is allocated:
+    ``p`` and ``v_bound`` must be integers >= 1 (a ``ValueError`` names the
+    knob); a stage table of ``B^(p+1)`` entries, ``B = (2V+1)^2``, must fit
+    the budget (:class:`BudgetExceeded`); band order ``p`` needs ``n_vars >=
+    p + 2`` unknowns (``ValueError``); and the kept pre-coupling tables,
+    ``n_vars * B^p`` entries, must fit the same budget
+    (:class:`BudgetExceeded`)."""
     checked_int("p", p, 1)
     checked_int("v_bound", v_bound, 1)
-    _check_budget((2 * v_bound + 1) ** (2 * (p + 1)), f"p={p} or v_bound={v_bound}")
-
-
-def check_dp_length(n_vars: int, p: int) -> None:
-    """The DP's length rule: band order ``p`` needs ``n_vars >= p + 2`` unknowns."""
+    bsz = (2 * v_bound + 1) ** 2
+    _check_budget("state-space enumeration", bsz ** (p + 1), f"p={p} or v_bound={v_bound}")
     if n_vars <= p + 1:
         raise ValueError(f"instance too short: n_vars={n_vars} needs "
                          f"n_vars >= p + 2 at p={p}")
+    _check_budget("kept tables", n_vars * bsz ** p,
+                  f"p={p}, v_bound={v_bound} or n_vars={n_vars}")
 
 
 def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
@@ -125,15 +128,16 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     Runs one forward stage per variable over value tables keyed by
     ``p``-tuples of states (the variable a stage eliminates is the least
     significant digit), with ``p`` padding variables held at state 0 after
-    the last one, keeping each stage's value table (``(n_vars + 1) * B^p``
-    float64 entries in all).  It then backtracks from the all-padding key:
-    for each variable, last first, it re-evaluates one stage column against
-    the kept values, picks state ``s`` and moves to key ``r*B + s``, where
-    ``r`` is the current key's ``p - 1`` low digits.  Of
-    several exact minimizers it returns the one whose last variable has the
-    smallest :func:`state_alphabet` index, then the one before it, and so
-    on.  Re-centering passes an instance re-observed around the current
-    estimate (:meth:`QuadraticInstance.with_observation`).
+    the last one, keeping each stage's pre-coupling table (previous value
+    table plus the variable's linear row; ``n_vars * B^p`` float64 entries in
+    all, which :func:`check_dp` bounds).  It then backtracks from the
+    all-padding key: for each variable, last first, it adds the current key's
+    coupling column to the kept column ``r`` in one add, picks state ``s``
+    and moves to key ``r*B + s``, where ``r`` is the current key's ``p - 1``
+    low digits.  Of several exact minimizers it returns the one whose last
+    variable has the smallest :func:`state_alphabet` index, then the one
+    before it, and so on.  Re-centering passes an instance re-observed
+    around the current estimate (:meth:`QuadraticInstance.with_observation`).
 
     Returns the minimizing Gaussian-integer sequence (``complex128`` with
     integral parts), plus a :class:`DpStats` when ``return_stats`` is set.
@@ -142,8 +146,7 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     bad = np.flatnonzero(~np.isfinite(b))
     if bad.size:
         raise ValueError(f"non-finite linear term at index {bad[0]}")
-    check_dp_budget(p, v_bound)
-    check_dp_length(m, p)
+    check_dp(m, p, v_bound)
     states = state_alphabet(v_bound)
     bsz = states.size
 
@@ -161,37 +164,33 @@ def dp_solve(inst: QuadraticInstance, p: int, v_bound: int, *,
     # lin[i, s]: diagonal plus linear term of variable i in state s.
     lin = base_quad[None, :] + 2.0 * np.real(np.conj(states)[None, :] * b[:, None])
 
-    # Stage k: stage[s, key] = (values[k, (key % B^(p-1)) * B + s] + lin[k, s])
-    # + cross[s, key], where s is the state of variable k and values[k] is
-    # keyed by the states of variables k..k+p-1.  Its column minima are
-    # values[k+1].  Variables m..m+p-1 are padding: only keys whose padding
-    # digits are the index of state 0 are ever read, and there they add
-    # nothing to cross.
+    # Stage k: kept[k, s, r] = value[r * B + s] + lin[k, s], where s is the
+    # state of variable k and value is keyed by the states of variables
+    # k..k+p-1; stage[s, key] = kept[k, s, key % B^(p-1)] + cross[s, key], and
+    # its column minima are the next value.  Variables m..m+p-1 are padding:
+    # only keys whose padding digits are the index of state 0 are ever read,
+    # and there they add nothing to cross.
     rest = bsz ** (p - 1)
-    values = np.empty((m + 1, bsz ** p))
-    values[0] = 0.0
-    tmp = np.empty((bsz, rest))
+    value = np.zeros(bsz ** p)
+    kept = np.empty((m, bsz, rest))
     stage = np.empty((bsz, bsz ** p))
     cross3 = cross.reshape(bsz, bsz, rest)
     stage3 = stage.reshape(cross3.shape)
     for k in range(m):
-        np.add(values[k].reshape(rest, bsz).T, lin[k][:, None], out=tmp)
-        np.add(tmp[:, None, :], cross3, out=stage3)
-        np.minimum.reduce(stage, axis=0, out=values[k + 1])
+        np.add(value.reshape(rest, bsz).T, lin[k][:, None], out=kept[k])
+        np.add(kept[k][:, None, :], cross3, out=stage3)
+        np.minimum.reduce(stage, axis=0, out=value)
 
     # Backtrack from the all-padding key (every digit bsz // 2, the index of
-    # state 0): re-evaluate the one stage column the next states select, in
-    # the forward pass's order of operations, so argmin finds the same first
-    # minimizing state.
+    # state 0): the kept column plus the coupling column is the stage column
+    # the next states select, summed as the forward pass summed it, so argmin
+    # finds the same first minimizing state.
     cross_t = np.ascontiguousarray(cross.T)
-    col = np.empty(bsz)
     key = bsz // 2 * (bsz ** p - 1) // (bsz - 1)
     idx = np.empty(m, dtype=np.intp)
     for k in range(m - 1, -1, -1):
         r = key % rest
-        np.add(values[k, r * bsz:(r + 1) * bsz], lin[k], out=col)
-        col += cross_t[key]
-        s = int(col.argmin())
+        s = int((kept[k, :, r] + cross_t[key]).argmin())
         idx[k] = s
         key = r * bsz + s
     eps = states[idx]
@@ -214,13 +213,14 @@ def brute_force_solve(inst: QuadraticInstance, p: int, v_bound: int,
     a single cross matrix, so no candidate matrix is ever materialized.
     Ties resolve to the smallest flat candidate index (leading variable most
     significant, states in :func:`state_alphabet` order).  The linear term
-    is ``inst.b``, and the knobs are checked, as in :func:`dp_solve`.
+    is ``inst.b``, and :func:`check_dp` admits the instance, as in
+    :func:`dp_solve`.
     """
     m = inst.n_vars
-    check_dp_budget(p, v_bound)
+    check_dp(m, p, v_bound)
     states = state_alphabet(v_bound)
     bsz = states.size
-    _check_budget(bsz ** m, f"n_vars={m} or v_bound={v_bound}")
+    _check_budget("state-space enumeration", bsz ** m, f"n_vars={m} or v_bound={v_bound}")
 
     q = inst.q_banded_dense(p) if use_banded else inst.q_dense()
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baseline import select_usalg_order, usalg
-from .dp import check_dp_budget, check_dp_length, dp_solve
+from .dp import check_dp, dp_solve
 from .lse import nomp
 from .omp import accept_if_improves, omp_refine
 from .signals import (LineSpectrum, check_lam, check_lam_gamma, checked_int,
@@ -65,14 +65,13 @@ class Method:
     def guard_bins(self, n: int, gamma: float, cfg: PipelineConfig) -> np.ndarray | None:
         """Stage one's bins for a record of ``n`` samples: the two-sided guard
         band for a DP method, once ``cfg.p``, ``cfg.v_bound`` and ``n`` pass
-        the DP's checks; every bin above the signal band without the DP; none
+        the DP's admission rule (:func:`~modlse.dp.check_dp`); every bin above the signal band without the DP; none
         for ``usalg``.  :func:`recover_residual` selects its bins here alone."""
         if self.usalg:
             return None
         if not self.dp:
             return select_subset_tail(n, gamma)
-        check_dp_budget(cfg.p, cfg.v_bound)
-        check_dp_length(n - 1, cfg.p)
+        check_dp(n - 1, cfg.p, cfg.v_bound)
         return select_subset(n, gamma, cfg.beta)
 
 

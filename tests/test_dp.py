@@ -1,13 +1,18 @@
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from modlse import (
+    METHODS,
     BudgetExceeded,
     DpStats,
-    check_dp_budget,
+    ExperimentConfig,
+    PipelineConfig,
+    SamplingConfig,
+    check_dp,
     add_noise,
     banded_objective,
     brute_force_solve,
@@ -189,7 +194,7 @@ class TestDpSolve:
         with pytest.raises(ValueError, match=message):
             solver(inst, p, v)
         with pytest.raises(ValueError, match=message):
-            check_dp_budget(p, v)
+            check_dp(inst.n_vars, p, v)
 
     def test_rejects_non_finite_override(self):
         rng = np.random.default_rng(67)
@@ -198,6 +203,48 @@ class TestDpSolve:
         b[[4, 9]] = [complex(np.inf, 0.0), complex(0.0, np.nan)]
         with pytest.raises(ValueError, match="non-finite linear term at index 4"):
             dp_solve(dataclasses.replace(inst, b=b), 2, 1)
+
+
+class TestAdmission:
+    """The one rule bounds the kept tables as well as the stage table."""
+
+    @staticmethod
+    def apply_rule(where, n, p, v):
+        pipe = PipelineConfig(p=p, v_bound=v)
+        if where == "ExperimentConfig":
+            ExperimentConfig(sampling=SamplingConfig(n=n), pipeline=pipe,
+                             snr_grid=(30.0,))
+        elif where == "guard_bins":
+            assert METHODS["dp_omp_iter"].guard_bins(n, 10.0, pipe).size > 0
+        else:
+            inst = build_instance(np.zeros(n, dtype=complex), 0.7,
+                                  select_subset(n, 10.0, 0.04))
+            tracemalloc.start()
+            try:
+                dp_solve(inst, p, v)
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            # raised before the 2.2 GB or 1.6 GB of kept tables were allocated
+            assert peak < 2 ** 20
+
+    @pytest.mark.parametrize("where", ["ExperimentConfig", "guard_bins", "dp_solve"])
+    @pytest.mark.parametrize("p,v", [(6, 1), (4, 2)])
+    def test_kept_tables_over_budget_rejected(self, where, p, v):
+        # at n=512 the stage table (9^7 or 25^5 entries) fits the budget, but
+        # the 511 kept tables of 9^6 or 25^4 entries do not
+        assert (2 * v + 1) ** (2 * (p + 1)) <= DEFAULT_BUDGET
+        entries = 511 * (2 * v + 1) ** (2 * p)
+        message = (f"^kept tables of {entries} entries exceeds budget {DEFAULT_BUDGET}; "
+                   f"reduce p={p}, v_bound={v} or n_vars=511$")
+        with pytest.raises(BudgetExceeded, match=message):
+            self.apply_rule(where, 512, p, v)
+
+    @pytest.mark.parametrize("n,p,v", [(512, 3, 1), (200, 3, 1), (1024, 4, 1), (512, 3, 2)])
+    def test_configs_in_use_admitted(self, n, p, v):
+        check_dp(n - 1, p, v)
+        self.apply_rule("ExperimentConfig", n, p, v)
+        self.apply_rule("guard_bins", n, p, v)
 
 
 def reference_dp_solve(inst, p, v):
@@ -336,7 +383,7 @@ class TestMatchesReferenceSolver:
         np.testing.assert_array_equal(eps_bf, [-1, -1j, -1 + 1j, 1 - 1j])
         assert banded_objective(inst, eps, p) == banded_objective(inst, eps_bf, p) \
             == -4.888230670450156
-        # one stage per variable, each the size check_dp_budget admits
+        # one stage per variable, each the size check_dp admits
         assert stats.n_stages == inst.n_vars
         assert stats.candidates_evaluated == inst.n_vars * (2 * v + 1) ** (2 * (p + 1))
         assert_matches_reference(inst, p, v)

@@ -31,8 +31,9 @@ INTEGER_KNOBS = {
     "usalg": ("difference order", 1, lambda v: baseline.usalg(np.zeros(8), 0.5, v)),
     "residual_state_bound": (
         "k", 1, lambda v: bounds.residual_state_bound(v, 1.0, 0.7, 10.0)),
-    "check_dp_budget-p": ("p", 1, lambda v: dp.check_dp_budget(v, 1)),
-    "check_dp_budget-v_bound": ("v_bound", 1, lambda v: dp.check_dp_budget(1, v)),
+    # dp.check_dp's two knobs, under the ids of the knob check it absorbed
+    "check_dp_budget-p": ("p", 1, lambda v: dp.check_dp(64, v, 1)),
+    "check_dp_budget-v_bound": ("v_bound", 1, lambda v: dp.check_dp(64, 1, v)),
     "ExperimentConfig-trials": (
         "trials", 1, lambda v: harness.ExperimentConfig(trials=v)),
     "ExperimentConfig-parallelism": (
