@@ -49,7 +49,8 @@ __all__ = [
 
 SCENARIOS = {
     # scenario: (grid field, then each (config section, field) the scenario
-    # sets itself: each grid value sets the first, bandlimited_sweep's band k)
+    # sets itself; _point_sections applies each: the grid value to the first,
+    # and bandlimited_sweep's band to k)
     "snr_sweep": ("snr_grid", ("sampling", "snr_db")),
     "bandlimited_sweep": ("snr_grid", ("sampling", "snr_db"), ("sampling", "k")),
     "beta_sweep": ("beta_grid", ("pipeline", "beta")),
@@ -59,11 +60,10 @@ SCENARIOS = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Complete description of one experiment run; construction raises what a
-    trial of some grid point would raise building its config or its stage
-    one's bins (``Method.guard_bins``), or selecting a bandlimited scene's band.
-
-    Each value of the scenario's grid sets one field of its point's config,
-    and ``bandlimited_sweep`` takes ``k`` from its band (:data:`SCENARIOS`)."""
+    trial of some grid point would raise building its point's config, which
+    applies every field :data:`SCENARIOS` lists for the scenario (the grid
+    value; ``bandlimited_sweep``'s ``k = bandlimited_bins(n, gamma)``), or its
+    stage one's bins (``Method.guard_bins``)."""
 
     scenario: str = "snr_sweep"
     sampling: SamplingConfig = field(default_factory=SamplingConfig)
@@ -88,8 +88,6 @@ class ExperimentConfig:
         if not np.isfinite(self.success_threshold_db):
             raise ValueError("success_threshold_db must be finite, got "
                              f"{self.success_threshold_db!r}")
-        if self.scenario == "bandlimited_sweep":
-            bandlimited_bins(self.sampling.n, self.sampling.gamma)
         if self.scenario == "beta_sweep" and not method.dp:
             raise ValueError(f"scenario 'beta_sweep' sweeps beta, which method "
                              f"{self.method!r} never reads")
@@ -99,9 +97,13 @@ class ExperimentConfig:
 
 
 def _point_sections(cfg: ExperimentConfig) -> list[dict]:
-    """Each grid point's config sections (the base config's for an empty grid)."""
-    grid_field, (section, axis) = SCENARIOS[cfg.scenario][:2]
-    base = {"sampling": cfg.sampling, "pipeline": cfg.pipeline}
+    """Each grid point's config sections (the base config's for an empty grid),
+    with every field :data:`SCENARIOS` lists for the scenario applied."""
+    grid_field, (section, axis), *derived = SCENARIOS[cfg.scenario]
+    samp = cfg.sampling
+    if ("sampling", "k") in derived:
+        samp = replace(samp, k=bandlimited_bins(samp.n, samp.gamma))
+    base = {"sampling": samp, "pipeline": cfg.pipeline}
     return [{**base, section: replace(base[section], **{axis: float(value)})}
             for value in getattr(cfg, grid_field)] or [base]
 
@@ -136,37 +138,37 @@ def _trial_rng(cfg: ExperimentConfig, point_index: int, trial_index: int):
 
 def run_trial(cfg: ExperimentConfig, trial_index: int = 0,
               point_index: int = 0) -> TrialResult:
-    """Draw a scene, fold it, recover it, and score the spectral estimate.
-
-    Every method unfolds through :func:`recover_residual`, which sees only
-    the modulo samples, as ``recover_line_spectrum`` does.  The score is the
-    NMSE of the re-synthesized estimate against the noise-free signal, after
-    resolving the folding-count constant against ground truth.  Bandlimited
-    scenes are scored through the same spectral fit with the model order set
-    to the number of active bins (:func:`bandlimited_bins`).  Every error
-    propagates; band and bin selection errors raise when the config is built.
+    """Draw a scene of grid point ``point_index`` of ``cfg``, its config as
+    :func:`_point_sections` builds it, then fold, recover and score it: row
+    ``(point_index, trial_index)`` of ``run_sweep(cfg)``.  Every method
+    unfolds through :func:`recover_residual`, which sees only the modulo
+    samples, as ``recover_line_spectrum`` does.  The score is the NMSE of the
+    re-synthesized estimate against the noise-free signal, after resolving the
+    folding-count constant against ground truth, at the point's model order
+    ``k``.  A ``point_index`` off the grid raises ``ValueError``; every other
+    error propagates.
     """
+    points = _point_sections(cfg)
+    if checked_int("point_index", point_index, 0) >= len(points):
+        raise ValueError(f"point_index must be < {len(points)}, got {point_index}")
+    samp, pipe = points[point_index]["sampling"], points[point_index]["pipeline"]
     rng, seed = _trial_rng(cfg, point_index, trial_index)
-    samp = cfg.sampling
     if cfg.scenario == "bandlimited_sweep":
         x = gen_bandlimited(samp.n, samp.gamma, rng)
-        k_model = bandlimited_bins(samp.n, samp.gamma)
     else:
         spectrum = gen_random_spectrum(samp.k, samp.gamma, rng,
                                        min_separation=2.0 * np.pi / samp.n)
         x = synth_line_spectral(spectrum, samp.n)
-        k_model = samp.k
     g = add_noise(x, samp.snr_db, rng)
     y = modulo_sample(g, samp.lam)
     eps_true = residual_decompose(g, y, samp.lam)
 
-    pipe = cfg.pipeline
     start = time.perf_counter()
     eps_hat = recover_residual(y, pipe, samp.lam, samp.gamma, cfg.method).eps
     # sweeps score against the truth, so they resolve the constant with it
     eps_hat = resolve_constant_with_truth(eps_hat, eps_true)
     g_hat = y + 2.0 * samp.lam * eps_hat
-    estimate = nomp(g_hat, k_model)
+    estimate = nomp(g_hat, samp.k)
     x_hat = synth_line_spectral(estimate, samp.n)
     score = nmse(x_hat, x)
     runtime = time.perf_counter() - start
@@ -205,11 +207,8 @@ def run_sweep(cfg: ExperimentConfig) -> list[SweepPoint]:
     grid = getattr(cfg, grid_field)
     if not grid:
         raise ValueError(f"{cfg.scenario} requires a non-empty {grid_field}")
-    configs = [replace(cfg, **sections) for sections in _point_sections(cfg)]
     # run_trial's arguments (config, trial, point), one job a trial
-    jobs = [(point_cfg, t, point_index)
-            for point_index, point_cfg in enumerate(configs)
-            for t in range(cfg.trials)]
+    jobs = [(cfg, t, p) for p in range(len(grid)) for t in range(cfg.trials)]
     workers = min(cfg.parallelism, len(jobs))
     if workers > 1:
         # imported here so that importing modlse does not load the pool

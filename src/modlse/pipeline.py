@@ -193,7 +193,7 @@ def resolve_constant_blind(eps_hat: np.ndarray, y: np.ndarray,
     Gaussian integer nearest to ``mean(y) / (2 lam) + mean(eps_hat)``,
     however many samples are folded.  It fails when a tone within about half
     a bin of DC has a mean beyond ``lam``, as in the ``reference`` bench scenes
-    98, 130 and 152 at seed 20240601, and 37 and 152 at seed 7 (ROADMAP item 8).
+    98, 130 and 152 at seed 20240601, and 37 and 152 at seed 7 (ROADMAP item 5).
     """
     eps_hat = np.asarray(eps_hat, dtype=complex)
     y = finite_samples(y)

@@ -10,6 +10,7 @@ from modlse import (
     ExperimentConfig,
     PipelineConfig,
     SamplingConfig,
+    bandlimited_bins,
     read_iq_csv,
     recover_line_spectrum,
     run_sweep,
@@ -290,7 +291,8 @@ class TestRunSweep:
     def test_rows_are_trials_of_their_point_config(self, scenario, grid,
                                                    parallelism):
         # however the sweep shares configs among its trials, each row is the
-        # trial of a config whose swept field holds the point's value
+        # trial of a config whose swept field holds the point's value, and
+        # run_trial on the experiment config itself derives that point
         cfg = small_config(scenario=scenario, trials=2, parallelism=parallelism,
                            **grid)
         for point_index, point in enumerate(run_sweep(cfg)):
@@ -300,9 +302,30 @@ class TestRunSweep:
             else:
                 point_cfg = dataclasses.replace(cfg, sampling=dataclasses.replace(
                     cfg.sampling, snr_db=point.value))
-            assert [dataclasses.replace(r, runtime_s=0.0) for r in point.results] \
-                == [dataclasses.replace(run_trial(point_cfg, t, point_index),
-                                        runtime_s=0.0) for t in range(2)]
+            rows = [dataclasses.replace(r, runtime_s=0.0) for r in point.results]
+            for trial_cfg in (point_cfg, cfg):
+                assert rows == [dataclasses.replace(
+                    run_trial(trial_cfg, t, point_index), runtime_s=0.0)
+                    for t in range(2)]
+
+    def test_bandlimited_point_takes_k_from_its_band(self):
+        cfg = small_config(scenario="bandlimited_sweep", snr_grid=(25.0, 10.0))
+        for point in harness._point_sections(cfg):
+            assert point["sampling"].k == bandlimited_bins(128, 10.0) == 12
+
+    @pytest.mark.parametrize("scenario,grid,point_index,message", [
+        ("snr_sweep", dict(snr_grid=(25.0, 10.0)), 2, "< 2, got 2"),
+        ("beta_sweep", dict(beta_grid=(0.03, 0.08)), 5, "< 2, got 5"),
+        ("snr_sweep", dict(snr_grid=()), 1, "< 1, got 1"),
+        ("snr_sweep", dict(snr_grid=(25.0, 10.0)), -1, ">= 0, got -1"),
+        ("bandlimited_sweep", dict(snr_grid=(25.0,)), 1.0, "an integer, got 1.0"),
+    ])
+    def test_point_index_off_the_grid_rejected(self, scenario, grid, point_index,
+                                               message):
+        # past the grid a trial would run the base config's values
+        cfg = small_config(scenario=scenario, **grid)
+        with pytest.raises(ValueError, match=f"^point_index must be {message}$"):
+            run_trial(cfg, 0, point_index)
 
     def test_beta_sweep_routing(self):
         cfg = small_config(scenario="beta_sweep", beta_grid=(0.03, 0.08),
